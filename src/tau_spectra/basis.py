@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = [
     "BasisValidityError",
     "RecurrenceBasis",
@@ -30,9 +28,7 @@ __all__ = [
     "recurrence_coeffs",
     "recurrence_arrays",
     "eval_basis_derivs",
-    "eval_basis_derivs_extended",
     "clenshaw",
-    "clenshaw_extended",
     "norms_sq",
     "change_of_basis",
 ]
@@ -162,25 +158,33 @@ def recurrence_arrays(
         gamma = np.empty(count)
         for k in range(count):
             alpha[k], beta[k], gamma[k] = recurrence_coeffs(basis, k)
-    if not np.all(np.isfinite(alpha)) or np.any(alpha == 0.0):
-        raise BasisValidityError("recurrence requires finite nonzero alpha_j for every j")
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(gamma).all()):
+        raise BasisValidityError("recurrence requires finite alpha_j, beta_j, gamma_j for every j")
+    if np.any(alpha == 0.0):
+        raise BasisValidityError("recurrence requires nonzero alpha_j for every j")
     return alpha, beta, gamma
 
 
-def eval_basis_derivs(basis: RecurrenceBasis, n: int, x: float, r: int = 0) -> np.ndarray:
+def eval_basis_derivs(
+    basis: RecurrenceBasis, n: int, x: float, r: int = 0, dtype=np.float64
+) -> np.ndarray:
     """Table of nu_k^(d)(x) for k = 0..n, d = 0..r, shape (r+1, n+1).
 
     Built from the recurrence differentiated d times:
         x*nu_j^(d) + d*nu_j^(d-1) = alpha_j*nu_{j+1}^(d) + beta_j*nu_j^(d)
-                                    + gamma_j*nu_{j-1}^(d).
+                                    + gamma_j*nu_{j-1}^(d),
+    carried in dtype from the float64 coefficients.  Condition rows of
+    Laguerre problems hold values ~1e13 whose float64 recurrence error alone
+    perturbs the imposed functional by ~1e-7; solves that refine against the
+    accurate functional build this table in np.longdouble.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if r < 0:
         raise ValueError(f"derivative order must be >= 0, got {r}")
-    x = float(x)
-    alpha, beta, gamma = recurrence_arrays(basis, max(n, 1))
-    out = np.zeros((r + 1, n + 1))
+    x = np.dtype(dtype).type(float(x))
+    alpha, beta, gamma = (arr.astype(dtype) for arr in recurrence_arrays(basis, max(n, 1)))
+    out = np.zeros((r + 1, n + 1), dtype=dtype)
     out[0, 0] = 1.0
     for j in range(n):
         for d in range(r + 1):
@@ -193,79 +197,29 @@ def eval_basis_derivs(basis: RecurrenceBasis, n: int, x: float, r: int = 0) -> n
     return out
 
 
-def eval_basis_derivs_extended(
-    basis: RecurrenceBasis, n: int, x: float, r: int = 0
-) -> np.ndarray:
-    """eval_basis_derivs carried in longdouble, same float64 coefficients.
+def clenshaw(basis: RecurrenceBasis, coeffs, x, dtype=np.float64):
+    """Evaluate sum_k coeffs[k]*nu_k(x) by backward recurrence in dtype.
 
-    Condition rows of Laguerre problems hold values ~1e13 whose float64
-    recurrence error alone perturbs the imposed functional by ~1e-7; solves
-    that refine against the accurate functional need this table.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if r < 0:
-        raise ValueError(f"derivative order must be >= 0, got {r}")
-    xl = np.longdouble(float(x))
-    alpha, beta, gamma = (
-        arr.astype(np.longdouble) for arr in recurrence_arrays(basis, max(n, 1))
-    )
-    out = np.zeros((r + 1, n + 1), dtype=np.longdouble)
-    out[0, 0] = 1.0
-    for j in range(n):
-        for d in range(r + 1):
-            v = (xl - beta[j]) * out[d, j]
-            if d > 0:
-                v += d * out[d - 1, j]
-            if j > 0:
-                v -= gamma[j] * out[d, j - 1]
-            out[d, j + 1] = v / alpha[j]
-    return out
-
-
-def clenshaw(basis: RecurrenceBasis, coeffs, x):
-    """Evaluate sum_k coeffs[k]*nu_k(x) by backward recurrence.
-
-    x may be a scalar or an ndarray; the result matches its shape.
-    """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1 or coeffs.shape[0] == 0:
-        raise ValueError("coeffs must be a non-empty 1-d array")
-    alpha, beta, gamma = recurrence_arrays(basis, coeffs.shape[0] + 1)
-    xs = np.asarray(x, dtype=np.float64)
-    flat = np.ascontiguousarray(xs.reshape(-1))
-    vals = _kernels.clenshaw_grid(alpha, beta, gamma, coeffs, flat)
-    if xs.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(xs.shape)
-
-
-def clenshaw_extended(basis: RecurrenceBasis, coeffs, x):
-    """Clenshaw evaluation carried in numpy's extended precision.
-
+    x may be a scalar or an ndarray; the float64 result matches its shape.
     Summing a Laguerre series at large x cancels intermediate terms up to
     ~1e9 times the value, so float64 evaluation is only good to ~1e-7
-    absolute there; this variant keeps the recurrence in longdouble for the
-    places that emit data.  coeffs may already be a longdouble vector (the
-    refined solver output); x may be a scalar or an ndarray.
+    absolute there; the places that emit data pass np.longdouble.  coeffs
+    may already be a longdouble vector (the refined solver output).
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.longdouble)
+    coeffs = np.ascontiguousarray(coeffs, dtype=dtype)
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a non-empty 1-d array")
     n1 = coeffs.shape[0]
-    alpha, beta, gamma = (
-        arr.astype(np.longdouble) for arr in recurrence_arrays(basis, n1 + 1)
-    )
+    alpha, beta, gamma = (arr.astype(dtype) for arr in recurrence_arrays(basis, n1 + 1))
     xs = np.asarray(x, dtype=np.float64)
-    flat = xs.reshape(-1).astype(np.longdouble)
-    bk1 = np.zeros_like(flat)
-    bk2 = np.zeros_like(flat)
+    flat = xs.reshape(-1).astype(dtype)
+    b1 = np.zeros_like(flat)
+    b2 = np.zeros_like(flat)
     for k in range(n1 - 1, -1, -1):
-        bk = coeffs[k] + (flat - beta[k]) / alpha[k] * bk1
-        bk -= (gamma[k + 1] / alpha[k + 1]) * bk2
-        bk2 = bk1
-        bk1 = bk
-    vals = bk1.astype(np.float64)
+        b = coeffs[k] + (flat - beta[k]) / alpha[k] * b1 - (gamma[k + 1] / alpha[k + 1]) * b2
+        b2 = b1
+        b1 = b
+    vals = b1.astype(np.float64)
     if xs.ndim == 0:
         return float(vals[0])
     return vals.reshape(xs.shape)

@@ -5,8 +5,9 @@ error tables and the Bessel figure data as CSV, dumps operational matrices,
 and runs the conditioning comparison between the recurrence-built operator
 section and the classic route through the monomial basis.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error.  Every
-failure leaves a status line on standard error.
+Exit codes: 0 ok, 2 config error, 3 numerical failure (a singular system or
+non-finite coefficients), 4 I/O error.  Every failure leaves a status line on
+standard error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .basis import (
     BasisValidityError,
     RecurrenceBasis,
     change_of_basis,
-    clenshaw_extended,
+    clenshaw,
     jacobi,
     laguerre,
 )
@@ -40,6 +41,7 @@ from .oracles import airy_bvp_reference, bessel_j, volterra_exact, volterra_forc
 from .tau import (
     ConditionSpec,
     ConditionTerm,
+    NonFiniteSolutionError,
     TauProblem,
     TauSolution,
     assemble_pi_power,
@@ -58,6 +60,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+NUMERICAL_FAILURES = (SingularMatrixError, NonFiniteSolutionError)
 
 GRID_JACOBI = (-1.0, 1.0, 2001)
 GRID_BESSEL = (0.0, 60.0, 1201)
@@ -273,7 +277,7 @@ def _evaluate(solution: TauSolution, grid: np.ndarray) -> np.ndarray:
     coeffs = solution.coeffs_extended
     if coeffs is None:
         coeffs = solution.coeffs
-    return np.atleast_1d(clenshaw_extended(solution.basis, coeffs, grid))
+    return np.atleast_1d(clenshaw(solution.basis, coeffs, grid, np.longdouble))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -296,7 +300,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         solution = solve_tau(problem)
-    except SingularMatrixError as exc:
+    except NUMERICAL_FAILURES as exc:
         _status(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
 
@@ -383,7 +387,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             ref_leg = _evaluate(
                 solve_tau(airy_problem(jacobi(0.0, 0.0), 1000, TABLE1_EPSILON)), grid
             )
-        except SingularMatrixError as exc:
+        except NUMERICAL_FAILURES as exc:
             _status(f"numerical failure building references: {exc}")
             return EXIT_NUMERICAL
         header = ["alpha", "beta"] + [f"n={n}" for n in degrees] + ["reference"]
@@ -410,7 +414,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                     sol = solve_tau(volterra_problem(basis, n, TABLE2_LOWER))
                     err = float(np.max(np.abs(_evaluate(sol, grid) - refs)))
                 cells.append(_fmt(err))
-            except (SingularMatrixError, BasisValidityError, ValueError):
+            except (*NUMERICAL_FAILURES, BasisValidityError, ValueError):
                 cells.append("FAIL")
         if args.which == "table1":
             cells.append(surrogate_name)
@@ -445,7 +449,7 @@ def cmd_bessel(args: argparse.Namespace) -> int:
     for n in degrees:
         try:
             sol = solve_tau(bessel_problem(args.m, n))
-        except SingularMatrixError as exc:
+        except NUMERICAL_FAILURES as exc:
             _status(f"numerical failure at degree {n}: {exc}")
             return EXIT_NUMERICAL
         ys = _evaluate(sol, grid)
@@ -534,7 +538,7 @@ def condition_comparison(n: int) -> tuple[float, float, float]:
 def cmd_condition_demo(args: argparse.Namespace) -> int:
     try:
         err_rec, err_sim, cond_v = condition_comparison(args.n)
-    except SingularMatrixError as exc:
+    except NUMERICAL_FAILURES as exc:
         _status(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     lines = [

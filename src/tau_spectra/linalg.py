@@ -1,9 +1,14 @@
 """Dense linear algebra for column-convention coefficient systems.
 
 LU with partial pivoting (recording pivots and a growth-factor estimate),
-substitution for A x = b and A^T x = b from the same factors, triangular
-solves, and a Hager-style 1-norm condition estimate.  Factorization and
-substitution run on the kernels in _kernels (numba or numpy path).
+substitution for A x = b and A^T x = b from the same factors, back
+substitution, and a Hager-style 1-norm condition estimate.
+
+The factors are packed in place: after step k, row k holds U to the right of
+the diagonal and column k holds the multipliers of L below it, so P A = L U
+with the unit diagonal of L implied.  Substitution walks the same packed
+array: forward with L then backward with U for A x = b, and forward with U^T
+then backward with L^T (undoing the row swaps last) for A^T x = b.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = [
     "SingularMatrixError",
     "LUFactors",
@@ -21,7 +24,6 @@ __all__ = [
     "lu_solve_factored",
     "lu_solve_transposed",
     "lu_solve",
-    "solve_lower_triangular",
     "solve_upper_triangular",
     "cond_estimate_1",
     "cond_estimate_factored",
@@ -66,10 +68,18 @@ def lu_factor(a) -> LUFactors:
     a = _as_square(a)
     work = np.array(a, dtype=np.float64, order="C", copy=True)
     maxa = float(np.max(np.abs(work)))
-    piv = np.zeros(work.shape[0], dtype=np.int64)
-    bad = _kernels.lu_factor_inplace(work, piv)
-    if bad >= 0:
-        raise SingularMatrixError(int(bad))
+    n = work.shape[0]
+    piv = np.zeros(n, dtype=np.int64)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(work[k:, k])))
+        piv[k] = p
+        if work[p, k] == 0.0:
+            raise SingularMatrixError(k)
+        if p != k:
+            work[[k, p]] = work[[p, k]]
+        work[k + 1 :, k] /= work[k, k]
+        if k + 1 < n:
+            work[k + 1 :, k + 1 :] -= np.outer(work[k + 1 :, k], work[k, k + 1 :])
     maxu = float(np.max(np.abs(np.triu(work))))
     growth = maxu / maxa if maxa > 0.0 else 1.0
     return LUFactors(lu=work, piv=piv, growth=growth)
@@ -80,7 +90,15 @@ def lu_solve_factored(factors: LUFactors, b) -> np.ndarray:
     x = np.array(b, dtype=np.float64, copy=True)
     if x.shape != (factors.size,):
         raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
-    _kernels.lu_substitute(factors.lu, factors.piv, x)
+    lu, n = factors.lu, factors.size
+    for k in range(n):
+        p = factors.piv[k]
+        if p != k:
+            x[k], x[p] = x[p], x[k]
+    for i in range(1, n):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
     return x
 
 
@@ -89,33 +107,21 @@ def lu_solve_transposed(factors: LUFactors, b) -> np.ndarray:
     x = np.array(b, dtype=np.float64, copy=True)
     if x.shape != (factors.size,):
         raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
-    _kernels.lu_substitute_t(factors.lu, factors.piv, x)
+    lu, n = factors.lu, factors.size
+    for i in range(n):
+        x[i] = (x[i] - lu[:i, i] @ x[:i]) / lu[i, i]
+    for i in range(n - 2, -1, -1):
+        x[i] -= lu[i + 1 :, i] @ x[i + 1 :]
+    for k in range(n - 1, -1, -1):
+        p = factors.piv[k]
+        if p != k:
+            x[k], x[p] = x[p], x[k]
     return x
 
 
 def lu_solve(a, b) -> np.ndarray:
     """Factor a and solve a single system A x = b."""
     return lu_solve_factored(lu_factor(a), b)
-
-
-def solve_lower_triangular(l, b, unit_diagonal: bool = False) -> np.ndarray:
-    """Forward substitution; b may be a vector or a matrix of columns."""
-    l = _as_square(l)
-    x = np.array(b, dtype=np.float64, copy=True)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    if x.shape[0] != l.shape[0]:
-        raise ValueError("dimension mismatch in triangular solve")
-    for i in range(l.shape[0]):
-        if i > 0:
-            x[i] -= l[i, :i] @ x[:i]
-        if not unit_diagonal:
-            d = l[i, i]
-            if d == 0.0:
-                raise SingularMatrixError(i)
-            x[i] /= d
-    return x[:, 0] if vec else x
 
 
 def solve_upper_triangular(u, b) -> np.ndarray:

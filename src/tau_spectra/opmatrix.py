@@ -9,6 +9,19 @@ ill-conditioned change of basis is involved.  The monomial-basis matrices and
 the similarity transform V Pi V^{-1} are provided for comparison; that
 classic route degrades quickly with size, which is the point being made.
 
+The derivative matrix eta is filled column by column: column j+1 follows
+from columns j and j-1 through
+
+    eta[i, j+1] = (alpha[i-1]*eta[i-1, j] + (beta[i]-beta[j])*eta[i, j]
+                   + gamma[i+1]*eta[i+1, j] - gamma[j]*eta[i, j-1]) / alpha[j]
+    eta[j, j+1] = (alpha[j-1]*eta[j-1, j] + 1) / alpha[j]
+
+with eta[0, 1] = 1/alpha[0] and column 0 zero.  The integral matrix theta is
+back substitution against eta: theta[j+1, j] = alpha[j]/(j+1), then for
+i = j-1 .. 0
+
+    theta[i+1, j] = -(alpha[i]/(i+1)) * sum_{k=i+2}^{j+1} eta[i, k]*theta[k, j].
+
 Truncation never corrupts stored entries: integral and Volterra builds run
 the underlying recurrences one index larger internally, so every returned
 entry equals the corresponding entry of the infinite matrix.
@@ -20,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .basis import RecurrenceBasis, eval_basis_derivs, recurrence_arrays
 from .linalg import solve_upper_triangular
 
@@ -69,20 +81,43 @@ def shift_matrix(basis: RecurrenceBasis, s: int) -> OpMatrix:
     return OpMatrix(kind="shift", size=s, data=data)
 
 
+def _derivative_table(alpha, beta, gamma, s: int) -> np.ndarray:
+    """The s x s derivative section by the column recurrence above."""
+    eta = np.zeros((s, s))
+    if s >= 2:
+        eta[0, 1] = 1.0 / alpha[0]
+    for j in range(1, s - 1):
+        col = (beta[:j] - beta[j]) * eta[:j, j] + gamma[1 : j + 1] * eta[1 : j + 1, j]
+        col -= gamma[j] * eta[:j, j - 1]
+        col[1:] += alpha[: j - 1] * eta[: j - 1, j]
+        eta[:j, j + 1] = col / alpha[j]
+        eta[j, j + 1] = (alpha[j - 1] * eta[j - 1, j] + 1.0) / alpha[j]
+    return eta
+
+
 def derivative_matrix(basis: RecurrenceBasis, s: int) -> OpMatrix:
     """Strictly upper triangular matrix of d/dx: column j holds the
     nu-coefficients of nu_j'."""
     _check_size(s)
     alpha, beta, gamma = recurrence_arrays(basis, s + 1)
-    data = _kernels.derivative_table(alpha, beta, gamma, s)
-    return OpMatrix(kind="derivative", size=s, data=data)
+    return OpMatrix(kind="derivative", size=s, data=_derivative_table(alpha, beta, gamma, s))
 
 
 def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
-    """Antiderivative coefficients with one extra row, shape (s+1, s)."""
+    """Antiderivative coefficients with one extra row, shape (s+1, s).
+
+    The derivative section is built at size s+1 so the k = j+1 = s entries
+    the last column's back substitution reads exist.
+    """
     alpha, beta, gamma = recurrence_arrays(basis, s + 2)
-    eta_ext = _kernels.derivative_table(alpha, beta, gamma, s + 1)
-    return _kernels.integral_table(alpha, eta_ext, s)
+    eta = _derivative_table(alpha, beta, gamma, s + 1)
+    theta = np.zeros((s + 1, s))
+    for j in range(s):
+        theta[j + 1, j] = alpha[j] / (j + 1)
+    for i in range(s - 2, -1, -1):
+        acc = eta[i, i + 2 : s + 1] @ theta[i + 2 : s + 1, :]
+        theta[i + 1, i + 1 :] = (-alpha[i] / (i + 1)) * acc[i + 1 :]
+    return theta
 
 
 def integral_matrix(basis: RecurrenceBasis, s: int) -> OpMatrix:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,13 +28,13 @@ from .basis import (
     change_of_basis,
     clenshaw,
     eval_basis_derivs,
-    eval_basis_derivs_extended,
     recurrence_arrays,
 )
 from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored, solve_upper_triangular
 from .opmatrix import derivative_matrix, volterra_matrix
 
 __all__ = [
+    "NonFiniteSolutionError",
     "OperatorTerm",
     "derivative_term",
     "identity_term",
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 _ACTIONS = ("derivative", "identity", "volterra")
+
+
+class NonFiniteSolutionError(ArithmeticError):
+    """The solve produced NaN or infinite coefficients."""
 
 
 def _trim_poly(coeff) -> np.ndarray:
@@ -207,15 +212,23 @@ def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_in_shift(alpha, beta, gamma, p: np.ndarray, a_mat: np.ndarray | None, s: int):
-    """Horner evaluation of p(M) @ A (A = identity when a_mat is None)."""
+def _power_shift_apply(t: np.ndarray) -> np.ndarray:
+    """Product M @ t for the monomial shift, which moves rows down by one."""
+    out = np.zeros_like(t)
+    out[1:] = t[:-1]
+    return out
+
+
+def _poly_in_shift(shift, p: np.ndarray, a_mat: np.ndarray | None, s: int):
+    """Horner evaluation of p(M) @ A (A = identity when a_mat is None), where
+    shift(t) computes M @ t."""
     if a_mat is None:
         t = np.zeros((s, s))
         np.fill_diagonal(t, p[-1])
     else:
         t = p[-1] * a_mat
     for k in range(p.shape[0] - 2, -1, -1):
-        t = _shift_apply(alpha, beta, gamma, t)
+        t = shift(t)
         if a_mat is None:
             t[np.diag_indices(s)] += p[k]
         else:
@@ -229,7 +242,7 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
     n = problem.degree
     h = operator_height(problem.operator)
     s = n + 1 + h
-    alpha, beta, gamma = recurrence_arrays(problem.basis, s + 1)
+    shift = partial(_shift_apply, *recurrence_arrays(problem.basis, s + 1))
     eta = None
     pi = np.zeros((s, s))
     for term in problem.operator:
@@ -243,29 +256,8 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
             a_mat = None
         else:
             a_mat = volterra_matrix(problem.basis, s, term.lower).data
-        pi += _poly_in_shift(alpha, beta, gamma, term.coeff, a_mat, s)
+        pi += _poly_in_shift(shift, term.coeff, a_mat, s)
     return pi[:, : n + 1]
-
-
-def _power_shift_apply(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    out[1:] = t[:-1]
-    return out
-
-
-def _poly_in_power_shift(p: np.ndarray, a_mat: np.ndarray | None, s: int):
-    if a_mat is None:
-        t = np.zeros((s, s))
-        np.fill_diagonal(t, p[-1])
-    else:
-        t = p[-1] * a_mat
-    for k in range(p.shape[0] - 2, -1, -1):
-        t = _power_shift_apply(t)
-        if a_mat is None:
-            t[np.diag_indices(s)] += p[k]
-        else:
-            t += p[k] * a_mat
-    return t
 
 
 def assemble_pi_power(terms, s: int) -> np.ndarray:
@@ -288,7 +280,7 @@ def assemble_pi_power(terms, s: int) -> np.ndarray:
             inv = 1.0 / (k[:-1] + 1.0)
             a_mat[k[:-1] + 1, k[:-1]] = inv
             a_mat[0, :] = -float(term.lower) ** (k + 1) / (k + 1.0)
-        pi += _poly_in_power_shift(term.coeff, a_mat, s)
+        pi += _poly_in_shift(_power_shift_apply, term.coeff, a_mat, s)
     return pi
 
 
@@ -305,22 +297,14 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     return out
 
 
-def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:
-    """Row of the condition functional applied to (nu_0, ..., nu_n)."""
-    row = np.zeros(n + 1)
-    for term in cond.terms:
-        table = eval_basis_derivs(basis, n, term.point, term.deriv)
-        row += term.coeff * table[term.deriv]
-    return row
-
-
-def _condition_row_extended(
-    cond: ConditionSpec, basis: RecurrenceBasis, n: int
+def condition_row(
+    cond: ConditionSpec, basis: RecurrenceBasis, n: int, dtype=np.float64
 ) -> np.ndarray:
-    row = np.zeros(n + 1, dtype=np.longdouble)
+    """Row of the condition functional applied to (nu_0, ..., nu_n), in dtype."""
+    row = np.zeros(n + 1, dtype=dtype)
     for term in cond.terms:
-        table = eval_basis_derivs_extended(basis, n, term.point, term.deriv)
-        row += np.longdouble(term.coeff) * table[term.deriv]
+        table = eval_basis_derivs(basis, n, term.point, term.deriv, dtype)
+        row += term.coeff * table[term.deriv]
     return row
 
 
@@ -331,7 +315,11 @@ def solve_tau(problem: TauProblem) -> TauSolution:
 
 def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     """Solve using a caller-supplied operator section (shape (n+1+h, n+1));
-    lets alternative section builders reuse the row selection and solve."""
+    lets alternative section builders reuse the row selection and solve.
+
+    Raises SingularMatrixError on an exactly singular system and
+    NonFiniteSolutionError when the coefficients come out NaN or infinite.
+    """
     n = problem.degree
     m_c = len(problem.conditions)
     h = operator_height(problem.operator)
@@ -352,10 +340,11 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     factors = lu_factor(t)
     coeffs = lu_solve_factored(factors, b)
     cond_rows = [
-        _condition_row_extended(cond, problem.basis, n)
-        for cond in problem.conditions
+        condition_row(cond, problem.basis, n, np.longdouble) for cond in problem.conditions
     ]
     coeffs_ext = _refine(t, b, factors, coeffs, cond_rows)
+    if not np.all(np.isfinite(coeffs_ext)):
+        raise NonFiniteSolutionError("solution coefficients are not finite")
     diags = Diagnostics(
         cond_estimate=cond_estimate_factored(factors, norm1),
         growth=factors.growth,

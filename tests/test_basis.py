@@ -10,7 +10,6 @@ from tau_spectra.basis import (
     BasisValidityError,
     change_of_basis,
     clenshaw,
-    clenshaw_extended,
     custom,
     eval_basis_derivs,
     jacobi,
@@ -22,6 +21,7 @@ from tau_spectra.basis import (
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]
 IDS = [b.label() for b in BASES]
+DTYPES = (np.float64, np.longdouble)
 
 
 def _sample_points(basis, count=21):
@@ -98,15 +98,18 @@ def test_jacobi_rejects_invalid_exponents():
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
 def test_three_term_identity(basis):
     xs = _sample_points(basis)
-    for j in range(41):
-        al, be, ga = recurrence_coeffs(basis, j)
-        for x in xs:
-            vals = eval_basis_derivs(basis, j + 1, x)[0]
-            lhs = x * vals[j]
-            rhs = al * vals[j + 1] + be * vals[j]
-            if j >= 1:
-                rhs += ga * vals[j - 1]
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (j, x)
+    for dtype in DTYPES:
+        for j in range(41):
+            al, be, ga = recurrence_coeffs(basis, j)
+            for x in xs:
+                table = eval_basis_derivs(basis, j + 1, x, dtype=dtype)
+                assert table.dtype == dtype
+                vals = table[0]
+                lhs = x * vals[j]
+                rhs = al * vals[j + 1] + be * vals[j]
+                if j >= 1:
+                    rhs += ga * vals[j - 1]
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (dtype, j, x)
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
@@ -138,7 +141,8 @@ def test_clenshaw_extended_agrees_with_double(basis):
     coeffs = rng.uniform(-1.0, 1.0, 30)
     xs = _sample_points(basis, 9)
     plain = clenshaw(basis, coeffs, xs)
-    extended = clenshaw_extended(basis, coeffs, xs)
+    extended = clenshaw(basis, coeffs, xs, np.longdouble)
+    assert extended.dtype == np.float64
     scale = np.max(np.abs(plain)) + 1.0
     assert np.max(np.abs(plain - extended)) <= 1e-11 * scale
 
@@ -217,3 +221,20 @@ def test_custom_basis_bad_coefficient_rejected():
     bad = custom(lambda j: (0.0, 0.0, 0.0), mu0=1.0)
     with pytest.raises(BasisValidityError):
         recurrence_arrays(bad, 3)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_custom_basis_nonfinite_coefficient_rejected(which, value):
+    def coeffs(j):
+        out = [0.5, 0.0, 0.5 if j else 0.0]
+        if j == 2:
+            out[which] = value
+        return tuple(out)
+
+    bad = custom(coeffs, mu0=math.pi, interval=(-1.0, 1.0))
+    recurrence_arrays(bad, 2)
+    with pytest.raises(BasisValidityError):
+        recurrence_arrays(bad, 3)
+    with pytest.raises(BasisValidityError):
+        eval_basis_derivs(bad, 5, 0.3)

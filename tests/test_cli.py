@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from tau_spectra import cli
 from tau_spectra.cli import main
+from tau_spectra.tau import NonFiniteSolutionError
 
 BASE_CONFIG = {
     "basis": {"family": "jacobi", "alpha": 0.0, "beta": 0.0},
@@ -87,6 +89,40 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, BASE_CONFIG)
     assert main(["solve", cfg_path, "-o", str(tmp_path / "no" / "dir" / "out.csv")]) == 4
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_solution_is_numerical_failure(tmp_path, capsys):
+    # coefficients of 1e308 overflow the operator section to inf
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["degree"] = 20
+    cfg["operator"] = [
+        {"action": "derivative", "coeff": [1e308], "order": 2},
+        {"action": "identity", "coeff": [0.0, -1e308]},
+    ]
+    cfg["conditions"] = [
+        {"terms": [{"coeff": 1.0, "deriv": 0, "point": -1.0}], "value": 1.0},
+        {"terms": [{"coeff": 1.0, "deriv": 0, "point": 1.0}], "value": 1.0},
+    ]
+    cfg_path = _write_config(tmp_path, cfg)
+    out_path = tmp_path / "out.csv"
+    assert main(["solve", cfg_path, "-o", str(out_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_non_finite_solution_fails_table_cell_and_bessel(tmp_path, monkeypatch, capsys):
+    def non_finite(problem):
+        raise NonFiniteSolutionError("solution coefficients are not finite")
+
+    monkeypatch.setattr(cli, "solve_tau", non_finite)
+    monkeypatch.setattr(cli, "TABLE2_PAIRS", ((0.0, 0.0),))
+    monkeypatch.setattr(cli, "TABLE2_DEGREES", (50,))
+    out_path = str(tmp_path / "table2.csv")
+    assert main(["table2", "-o", out_path]) == 0
+    assert _read_csv(out_path)[1] == [["0", "0", "FAIL"]]
+    assert main(["bessel", "--degrees", "100", "-o", str(tmp_path / "fig")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_jacobi_requires_exponents(tmp_path):

@@ -1,16 +1,16 @@
-"""Dense LU with partial pivoting, triangular solves, condition estimate."""
+"""Dense LU with partial pivoting, back substitution, condition estimate."""
 
 import numpy as np
 import pytest
 
 from tau_spectra.linalg import (
+    LUFactors,
     SingularMatrixError,
     cond_estimate_1,
     lu_factor,
     lu_solve,
     lu_solve_factored,
     lu_solve_transposed,
-    solve_lower_triangular,
     solve_upper_triangular,
 )
 
@@ -87,11 +87,8 @@ def test_growth_recorded():
 def test_triangular_solves():
     rng = np.random.default_rng(36)
     size = 15
-    l_mat = np.tril(rng.standard_normal((size, size))) + size * np.eye(size)
     u_mat = np.triu(rng.standard_normal((size, size))) + size * np.eye(size)
     b = rng.standard_normal(size)
-    x = solve_lower_triangular(l_mat, b)
-    assert np.max(np.abs(l_mat @ x - b)) <= 1e-10
     x = solve_upper_triangular(u_mat, b)
     assert np.max(np.abs(u_mat @ x - b)) <= 1e-10
 
@@ -106,11 +103,14 @@ def test_triangular_solve_matrix_rhs():
 
 
 def test_unit_diagonal_lower_solve():
-    l_mat = np.array([[9.0, 0.0], [2.0, 9.0]])
+    # packed factors: the diagonal belongs to U, L's unit diagonal is implied
+    factors = LUFactors(
+        lu=np.array([[9.0, 0.0], [2.0, 9.0]]), piv=np.array([0, 1]), growth=1.0
+    )
+    a = np.array([[9.0, 0.0], [18.0, 9.0]])  # L @ U
     b = np.array([1.0, 2.0])
-    x = solve_lower_triangular(l_mat, b, unit_diagonal=True)
-    # diagonal entries ignored, treated as ones
-    assert np.allclose(x, [1.0, 0.0])
+    assert np.allclose(lu_solve_factored(factors, b), [1.0 / 9.0, 0.0])
+    assert np.allclose(a.T @ lu_solve_transposed(factors, b), b)
 
 
 def test_cond_estimate_identity_and_diagonal():

@@ -65,6 +65,17 @@ def test_bessel_miller_matches_series_small_x():
             assert bessel_j(m, x) == pytest.approx(bessel_j_series(m, x), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [0, 1, 10, 25])
+def test_bessel_matches_mpmath_on_grid(m):
+    # independent route: mpmath's hypergeometric-series besselj at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.linspace(0.0, 60.0, 1201)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(m, mpmath.mpf(float(x)))) for x in grid])
+    ours = np.array([bessel_j(m, float(x)) for x in grid])
+    assert np.max(np.abs(ours - ref)) <= 1e-14
+
+
 def test_volterra_exact_closed_forms():
     assert volterra_exact(1.25, -1.0) == pytest.approx(math.exp(1.0 / 10.125) / 2.25**3, rel=1e-15)
     assert volterra_exact(2.0, 1.0) == pytest.approx(math.exp(0.5), rel=1e-15)

@@ -104,12 +104,14 @@ def test_project_rhs_examples():
 
 
 def test_condition_row_examples():
-    row = condition_row(point_condition(1.0, 1.0), LEG, 3)
-    assert np.allclose(row, 1.0, rtol=1e-14)
-    row = condition_row(point_condition(0.0, 0.0), laguerre(), 3)
-    assert np.allclose(row, 1.0, rtol=1e-14)
-    row = condition_row(point_condition(0.0, 1.0), LEG, 1)
-    assert np.allclose(row, [1.0, 0.0], atol=1e-15)
+    for dtype in (np.float64, np.longdouble):
+        row = condition_row(point_condition(1.0, 1.0), LEG, 3, dtype)
+        assert row.dtype == dtype
+        assert np.allclose(row, 1.0, rtol=1e-14)
+        row = condition_row(point_condition(0.0, 0.0), laguerre(), 3, dtype)
+        assert np.allclose(row, 1.0, rtol=1e-14)
+        row = condition_row(point_condition(0.0, 1.0), LEG, 1, dtype)
+        assert np.allclose(row, [1.0, 0.0], atol=1e-15)
 
 
 def test_solve_first_order_by_hand():
