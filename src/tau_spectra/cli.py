@@ -5,15 +5,20 @@ error tables and the Bessel figure data as CSV, dumps operational matrices,
 and runs the conditioning comparison between the recurrence-built operator
 section and the classic route through the monomial basis.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure (a singular system or
-non-finite coefficients), 4 I/O error.  Every failure leaves a status line on
-standard error.
+Commands raise; ``main`` alone maps an exception to an exit code and one
+``tau-spectra: ...`` status line on standard error: 0 success; 2 ``config
+error`` for invalid input anywhere (schema violations, unusable values,
+NaN/Infinity literals or numbers overflowing to infinity in a config, bad
+command-line values); 3 ``numerical failure`` for a singular Tau system,
+non-finite coefficients or output values, or overflow; 4 ``I/O error``.  No
+input ends in a traceback, and no NaN or infinity is written with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,14 +26,13 @@ import jsonschema
 import numpy as np
 
 from .basis import (
-    BasisValidityError,
     RecurrenceBasis,
     change_of_basis,
     clenshaw,
     jacobi,
     laguerre,
 )
-from .linalg import SingularMatrixError, cond_estimate_1
+from .linalg import cond_estimate_1
 from .opmatrix import (
     derivative_matrix,
     integral_matrix,
@@ -49,7 +53,6 @@ from .tau import (
     identity_term,
     operator_height,
     point_condition,
-    residual_tail,
     solve_tau,
     solve_tau_system,
     sup_error,
@@ -60,8 +63,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-NUMERICAL_FAILURES = (SingularMatrixError, NonFiniteSolutionError)
 
 GRID_JACOBI = (-1.0, 1.0, 2001)
 GRID_BESSEL = (0.0, 60.0, 1201)
@@ -75,7 +76,7 @@ TABLE2_LOWER = 1.25
 
 
 class ConfigError(ValueError):
-    """Config is syntactically valid JSON but semantically unusable."""
+    """A config or command-line value the CLI cannot use."""
 
 
 _POLY = {"type": "array", "minItems": 1, "items": {"type": "number"}}
@@ -182,11 +183,27 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN/Infinity literals and overflowing numbers are
+    config errors, not values to solve with."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write numeric columns with 17 significant digits; raises
+    NonFiniteSolutionError, writing nothing, if any value is NaN or infinite."""
+    if not all(np.all(np.isfinite(col)) for col in columns):
+        raise NonFiniteSolutionError(f"output for {path} has non-finite values")
+    rows = (",".join(_fmt(float(v)) for v in vals) for vals in zip(*columns))
+    _write_lines(path, [",".join(header), *rows])
 
 
 def _basis_from_config(spec: dict) -> RecurrenceBasis:
@@ -274,61 +291,30 @@ def _problem_from_config(cfg: dict):
 
 
 def _evaluate(solution: TauSolution, grid: np.ndarray) -> np.ndarray:
-    coeffs = solution.coeffs_extended
-    if coeffs is None:
-        coeffs = solution.coeffs
-    return np.atleast_1d(clenshaw(solution.basis, coeffs, grid, np.longdouble))
+    return np.atleast_1d(clenshaw(solution.basis, solution.coeffs_extended, grid, np.longdouble))
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        _status(f"cannot read config: {exc}")
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        _status(f"config is not valid JSON: {exc}")
-        return EXIT_CONFIG
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-        problem, grid, ref, _ = _problem_from_config(cfg)
-    except (jsonschema.ValidationError, ConfigError, BasisValidityError, ValueError) as exc:
-        msg = exc.message if isinstance(exc, jsonschema.ValidationError) else str(exc)
-        _status(f"config error: {msg}")
-        return EXIT_CONFIG
-
-    try:
-        solution = solve_tau(problem)
-    except NUMERICAL_FAILURES as exc:
-        _status(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+def cmd_solve(args: argparse.Namespace) -> None:
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    jsonschema.validate(cfg, CONFIG_SCHEMA)
+    problem, grid, ref, _ = _problem_from_config(cfg)
+    solution = solve_tau(problem)
 
     ys = _evaluate(solution, grid)
     header = ["x", "y_n"]
     columns = [grid, ys]
     if ref is not None:
-        try:
-            refs = np.array([float(ref(float(x))) for x in grid])
-        except ValueError as exc:
-            _status(f"config error: reference not evaluable on the grid: {exc}")
-            return EXIT_CONFIG
+        refs = np.array([float(ref(float(x))) for x in grid])
         header += ["reference", "error"]
         columns += [refs, np.abs(ys - refs)]
 
-    tail = residual_tail(problem, solution)
+    tail = solution.residual_tail
     tail_max = float(np.max(np.abs(tail))) if tail.size else 0.0
     print(f"degree: {solution.degree}")
     print(f"cond estimate: {_fmt(solution.diagnostics.cond_estimate)}")
     print(f"max residual tail coefficient: {_fmt(tail_max)}")
-
-    rows = [[_fmt(float(col[i])) for col in columns] for i in range(grid.shape[0])]
-    try:
-        _write_csv(args.output, header, rows)
-    except OSError as exc:
-        _status(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+    _write_csv(args.output, header, columns)
 
 
 def airy_problem(basis: RecurrenceBasis, degree: int, epsilon: float) -> TauProblem:
@@ -373,23 +359,19 @@ def _grid(spec: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(spec[0], spec[1], spec[2])
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> None:
     grid = _grid(GRID_JACOBI)
     if args.which == "table1":
         pairs, degrees = TABLE1_PAIRS, TABLE1_DEGREES
         # No external reference survives double precision at this epsilon,
         # so each row is measured against a high-degree solution from a
         # different basis and the column records which one.
-        try:
-            ref_cheb = _evaluate(
-                solve_tau(airy_problem(jacobi(-0.5, -0.5), 1000, TABLE1_EPSILON)), grid
-            )
-            ref_leg = _evaluate(
-                solve_tau(airy_problem(jacobi(0.0, 0.0), 1000, TABLE1_EPSILON)), grid
-            )
-        except NUMERICAL_FAILURES as exc:
-            _status(f"numerical failure building references: {exc}")
-            return EXIT_NUMERICAL
+        ref_cheb = _evaluate(
+            solve_tau(airy_problem(jacobi(-0.5, -0.5), 1000, TABLE1_EPSILON)), grid
+        )
+        ref_leg = _evaluate(
+            solve_tau(airy_problem(jacobi(0.0, 0.0), 1000, TABLE1_EPSILON)), grid
+        )
         header = ["alpha", "beta"] + [f"n={n}" for n in degrees] + ["reference"]
     else:
         pairs, degrees = TABLE2_PAIRS, TABLE2_DEGREES
@@ -414,58 +396,31 @@ def cmd_table(args: argparse.Namespace) -> int:
                     sol = solve_tau(volterra_problem(basis, n, TABLE2_LOWER))
                     err = float(np.max(np.abs(_evaluate(sol, grid) - refs)))
                 cells.append(_fmt(err))
-            except (*NUMERICAL_FAILURES, BasisValidityError, ValueError):
+            except (ArithmeticError, ValueError):
                 cells.append("FAIL")
         if args.which == "table1":
             cells.append(surrogate_name)
-        rows.append(cells)
-
-    try:
-        _write_csv(args.output, header, rows)
-    except OSError as exc:
-        _status(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+        rows.append(",".join(cells))
+    _write_lines(args.output, [",".join(header), *rows])
 
 
-def cmd_bessel(args: argparse.Namespace) -> int:
+def cmd_bessel(args: argparse.Namespace) -> None:
     degrees = list(args.degrees)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
-        _status("config error: degrees must be strictly ascending")
-        return EXIT_CONFIG
+        raise ConfigError("degrees must be strictly ascending")
     grid = _grid(GRID_BESSEL)
     scale = bessel_j(args.m, 60.0)
     if scale == 0.0:
-        _status("config error: J_m(60) vanishes, normalization impossible")
-        return EXIT_CONFIG
+        raise ConfigError("J_m(60) vanishes, normalization impossible")
     refs = np.array([bessel_j(args.m, float(x)) / scale for x in grid])
-
-    try:
-        os.makedirs(args.output, exist_ok=True)
-    except OSError as exc:
-        _status(f"cannot create output directory: {exc}")
-        return EXIT_IO
+    os.makedirs(args.output, exist_ok=True)
 
     for n in degrees:
-        try:
-            sol = solve_tau(bessel_problem(args.m, n))
-        except NUMERICAL_FAILURES as exc:
-            _status(f"numerical failure at degree {n}: {exc}")
-            return EXIT_NUMERICAL
-        ys = _evaluate(sol, grid)
+        ys = _evaluate(solve_tau(bessel_problem(args.m, n)), grid)
         errs = np.abs(ys - refs)
         print(f"n={n}: sup error {_fmt(float(np.max(errs)))}, boundary value {_fmt(float(ys[-1]))}")
-        rows = [
-            [_fmt(float(grid[i])), _fmt(float(ys[i])), _fmt(float(refs[i])), _fmt(float(errs[i]))]
-            for i in range(grid.shape[0])
-        ]
         path = os.path.join(args.output, f"bessel_m{args.m}_n{n}.csv")
-        try:
-            _write_csv(path, ["x", "y_n", "reference", "error"], rows)
-        except OSError as exc:
-            _status(f"cannot write output: {exc}")
-            return EXIT_IO
-    return EXIT_OK
+        _write_csv(path, ["x", "y_n", "reference", "error"], [grid, ys, refs, errs])
 
 
 def _parse_basis_spec(spec: str) -> RecurrenceBasis:
@@ -475,47 +430,28 @@ def _parse_basis_spec(spec: str) -> RecurrenceBasis:
         parts = spec[len("jacobi:") :].split(",")
         if len(parts) != 2:
             raise ConfigError("jacobi basis spec must be jacobi:<alpha>,<beta>")
-        try:
-            return jacobi(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return jacobi(float(parts[0]), float(parts[1]))
     raise ConfigError(f"unknown basis spec {spec!r}, expected jacobi:<a>,<b> or laguerre")
 
 
-def cmd_opmatrix(args: argparse.Namespace) -> int:
+def cmd_opmatrix(args: argparse.Namespace) -> None:
     power_kinds = {"power_shift": 1, "power_derivative": 0, "power_integral": 2}
-    try:
-        if args.kind in power_kinds:
-            mat = power_matrices(args.size)[power_kinds[args.kind]]
+    if args.kind in power_kinds:
+        mat = power_matrices(args.size)[power_kinds[args.kind]]
+    else:
+        basis = _parse_basis_spec(args.basis)
+        if args.kind == "shift":
+            mat = shift_matrix(basis, args.size)
+        elif args.kind == "derivative":
+            mat = derivative_matrix(basis, args.size)
+        elif args.kind == "integral":
+            mat = integral_matrix(basis, args.size)
         else:
-            basis = _parse_basis_spec(args.basis)
-            if args.kind == "shift":
-                mat = shift_matrix(basis, args.size)
-            elif args.kind == "derivative":
-                mat = derivative_matrix(basis, args.size)
-            elif args.kind == "integral":
-                mat = integral_matrix(basis, args.size)
-            else:
-                if args.lower is None:
-                    _status("config error: volterra matrix requires --lower")
-                    return EXIT_CONFIG
-                mat = volterra_matrix(basis, args.size, args.lower)
-    except (ConfigError, BasisValidityError, ValueError) as exc:
-        _status(f"config error: {exc}")
-        return EXIT_CONFIG
-
-    rows = []
-    for i in range(mat.size):
-        for j in range(mat.size):
-            v = mat.data[i, j]
-            if v != 0.0:
-                rows.append([str(i), str(j), _fmt(float(v))])
-    try:
-        _write_csv(args.output, ["row", "col", "value"], rows)
-    except OSError as exc:
-        _status(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+            if args.lower is None:
+                raise ConfigError("volterra matrix requires --lower")
+            mat = volterra_matrix(basis, args.size, args.lower)
+    rows, cols = np.nonzero(mat.data)
+    _write_csv(args.output, ["row", "col", "value"], [rows, cols, mat.data[rows, cols]])
 
 
 def condition_comparison(n: int) -> tuple[float, float, float]:
@@ -535,12 +471,10 @@ def condition_comparison(n: int) -> tuple[float, float, float]:
     return err_rec, err_sim, cond_estimate_1(v)
 
 
-def cmd_condition_demo(args: argparse.Namespace) -> int:
-    try:
-        err_rec, err_sim, cond_v = condition_comparison(args.n)
-    except NUMERICAL_FAILURES as exc:
-        _status(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+def cmd_condition_demo(args: argparse.Namespace) -> None:
+    if args.n < 10:
+        raise ConfigError("condition-demo needs n >= 10")
+    err_rec, err_sim, cond_v = condition_comparison(args.n)
     lines = [
         f"degree: {args.n}",
         f"recurrence path sup error: {_fmt(err_rec)}",
@@ -550,14 +484,8 @@ def cmd_condition_demo(args: argparse.Namespace) -> int:
     if args.output is None:
         for line in lines:
             print(line)
-        return EXIT_OK
-    try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        _status(f"cannot write output: {exc}")
-        return EXIT_IO
-    return EXIT_OK
+    else:
+        _write_lines(args.output, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -617,12 +545,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.func is cmd_condition_demo and args.n < 10:
-        _status("config error: condition-demo needs n >= 10")
+    args = _build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except jsonschema.ValidationError as exc:
+        _status(f"config error: {exc.message}")
         return EXIT_CONFIG
-    return args.func(args)
+    except ValueError as exc:
+        _status(f"config error: {exc}")
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        _status(f"numerical failure: {exc}")
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        _status(f"I/O error: {exc}")
+        return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

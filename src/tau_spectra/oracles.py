@@ -101,12 +101,17 @@ def power_oracle_column(
     return np.array([float(c) for c in out])
 
 
+_MILLER_MAX_START = 100_000
+
+
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind by Miller's downward recurrence.
 
     Runs J_{k-1} = (2k/x) J_k - J_{k+1} downward from a start index far into
     the decaying regime and normalizes with J_0 + 2*sum J_{2k} = 1, which
-    keeps full relative accuracy for the minimal solution.
+    keeps full relative accuracy for the minimal solution.  The recurrence
+    takes about m + 1.5x steps, so orders and arguments needing more than
+    _MILLER_MAX_START of them are rejected instead of running unbounded.
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
@@ -116,6 +121,8 @@ def bessel_j(m: int, x: float) -> float:
     if x == 0.0:
         return 1.0 if m == 0 else 0.0
     start = m + 25 + int(math.ceil(1.5 * x))
+    if start > _MILLER_MAX_START:
+        raise ValueError(f"J_{m}({x}) needs {start} recurrence steps, over {_MILLER_MAX_START}")
     if start % 2 == 1:
         start += 1
     fkp1 = 0.0

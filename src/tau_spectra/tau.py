@@ -52,7 +52,6 @@ __all__ = [
     "condition_row",
     "solve_tau",
     "solve_tau_system",
-    "residual_tail",
     "sup_error",
 ]
 
@@ -173,13 +172,16 @@ class TauSolution:
     coeffs_extended carries the same vector in the precision the refinement
     loop worked in; evaluators that must not lose the imposed conditions to
     float64 rounding (Laguerre series summed at large x) read it instead of
-    coeffs.
+    coeffs.  residual_tail holds the coefficients of L[u_n] - f on the rows
+    the square system left free (indices n-m_c+1 .. n+h): the perturbation
+    the method committed to.
     """
 
     basis: RecurrenceBasis
     coeffs: np.ndarray
     diagnostics: Diagnostics
-    coeffs_extended: np.ndarray | None = None
+    coeffs_extended: np.ndarray
+    residual_tail: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -350,11 +352,13 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
         growth=factors.growth,
         height=h,
     )
+    coeffs = np.asarray(coeffs_ext, dtype=np.float64)
     return TauSolution(
         basis=problem.basis,
-        coeffs=np.asarray(coeffs_ext, dtype=np.float64),
+        coeffs=coeffs,
         diagnostics=diags,
         coeffs_extended=coeffs_ext,
+        residual_tail=pi[keep:] @ coeffs - f_nu[keep:],
     )
 
 
@@ -386,19 +390,6 @@ def _refine(
         a_ext = a_ext + corr.astype(np.longdouble)
         last = step
     return a_ext
-
-
-def residual_tail(problem: TauProblem, solution: TauSolution) -> np.ndarray:
-    """Coefficients of L[u_n] - f on the rows the square system left free
-    (indices n-m_c+1 .. n+h): the perturbation the method committed to."""
-    n = problem.degree
-    if solution.coeffs.shape != (n + 1,):
-        raise ValueError("solution does not match the problem degree")
-    h = operator_height(problem.operator)
-    m_c = len(problem.conditions)
-    pi = assemble_pi(problem)
-    r = pi @ solution.coeffs - project_rhs(problem.rhs, problem.basis, n + 1 + h)
-    return r[n - m_c + 1 :]
 
 
 def sup_error(solution: TauSolution, reference, grid) -> float:

@@ -29,7 +29,6 @@ from tau_spectra import (
     operator_height,
     point_condition,
     power_oracle_column,
-    residual_tail,
     shift_matrix,
     similarity_pi,
     solve_tau,
@@ -301,7 +300,7 @@ def test_polynomial_exactness():
         sol = solve_tau(problem)
         rel = np.max(np.abs(sol.coeffs - c)) / np.max(np.abs(c))
         assert rel <= 1e-10, f"trial {accepted}: coefficient error {rel:.3e}"
-        tail = residual_tail(problem, sol)
+        tail = sol.residual_tail
         if tail.size:
             assert np.max(np.abs(tail)) <= 1e-10, f"trial {accepted}"
         accepted += 1

@@ -256,3 +256,56 @@ def test_table2_layout_and_bands(tmp_path):
     legendre = body[0]
     assert float(legendre[2]) > 1.0
     assert 1e-8 <= float(legendre[3]) <= 1e-5
+
+
+def _solve(**changes):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg.update(changes)
+    return ["solve", "{cfg}", "-o", "{out}"], json.dumps(cfg).encode()
+
+
+def _solve_edited(old, new):
+    argv, config = _solve()
+    return argv, config.replace(old, new)
+
+
+_CONDITION = BASE_CONFIG["conditions"][0]
+
+# Each input once ended in a traceback, an exit 1, or a NaN/inf file with exit 0.
+BAD_INPUTS = {
+    "three-conditions-at-degree-1": (*_solve(conditions=[_CONDITION] * 3), 2),
+    "undecodable-config": (_solve()[0], b"\xff\xfe{", 2),
+    "rhs-degree-5": (*_solve(rhs={"coeff": [0.0] * 5 + [1.0]}), 2),
+    "bessel-negative-order": (["bessel", "-m", "-1", "--degrees", "20", "-o", "{out}"], None, 2),
+    "reference-overflow": (
+        *_solve(reference={"kind": "volterra_exact", "params": {"a": 1.001}}),
+        3,
+    ),
+    "nan-grid-start": (*_solve_edited(b'"start": -1.0', b'"start": NaN'), 2),
+    "nan-condition-value": (*_solve_edited(b'"value": 1.0', b'"value": NaN'), 2),
+    "number-overflows-to-inf": (*_solve_edited(b'"start": -1.0', b'"start": 1e400'), 2),
+    "grid-1e308-at-degree-3": (
+        *_solve(degree=3, grid={"start": -1e308, "stop": 1e308, "count": 3}),
+        3,
+    ),
+    "opmatrix-overflow": (
+        ["opmatrix", "--kind", "volterra", "--lower", "1e300", "--size", "8", "-o", "{out}"],
+        None,
+        3,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, config, code", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, config, code):
+    cfg_path = tmp_path / "problem.json"
+    out_path = tmp_path / "out"
+    if config is not None:
+        cfg_path.write_bytes(config)
+    assert main([a.format(cfg=cfg_path, out=out_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    status = {2: "config error", 3: "numerical failure"}[code]
+    assert f"tau-spectra: {status}: " in err
+    assert "Traceback" not in err
+    assert not out_path.exists()

@@ -46,6 +46,13 @@ def test_bessel_at_zero():
         assert bessel_j(m, 0.0) == 0.0
 
 
+def test_bessel_rejects_unbounded_recurrence():
+    for m, x in ((0, 1e308), (10**9, 1.0), (0, 1e5)):
+        with pytest.raises(ValueError, match="recurrence steps"):
+            bessel_j(m, x)
+    assert math.isfinite(bessel_j(100, 6e4))
+
+
 def test_bessel_order_one_at_one():
     assert bessel_j(1, 1.0) == pytest.approx(0.44005058574493355, abs=1e-12)
 

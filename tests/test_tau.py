@@ -15,7 +15,6 @@ from tau_spectra.tau import (
     operator_height,
     point_condition,
     project_rhs,
-    residual_tail,
     solve_tau,
     sup_error,
     volterra_term,
@@ -125,7 +124,7 @@ def test_solve_first_order_by_hand():
     solution = solve_tau(problem)
     assert np.allclose(solution.coeffs, [1.0, 1.0], rtol=1e-14)
     # the committed perturbation is -x, a single tail coefficient
-    tail = residual_tail(problem, solution)
+    tail = solution.residual_tail
     assert tail.shape == (1,)
     assert tail[0] == pytest.approx(-1.0, rel=1e-14)
 
@@ -141,7 +140,7 @@ def test_constant_solution_reproduced_exactly():
         )
         solution = solve_tau(problem)
         assert np.allclose(solution.coeffs, [c, 0.0, 0.0], atol=1e-14)
-        assert np.max(np.abs(residual_tail(problem, solution))) <= 1e-12
+        assert np.max(np.abs(solution.residual_tail)) <= 1e-12
 
 
 def test_volterra_benchmark_degree_100():
@@ -200,7 +199,7 @@ def test_airy_tail_decreases_with_degree():
             degree=n,
         )
         solution = solve_tau(problem)
-        tails.append(np.max(np.abs(residual_tail(problem, solution))))
+        tails.append(np.max(np.abs(solution.residual_tail)))
     assert tails[1] < tails[0]
 
 
@@ -216,7 +215,7 @@ def test_polynomial_exactness_small():
     solution = solve_tau(problem)
     y_power_exact = project_rhs([0.0, 0.0, 1.0], problem.basis, 5)
     assert np.max(np.abs(solution.coeffs - y_power_exact)) <= 1e-10 * np.max(np.abs(y_power_exact))
-    tail = residual_tail(problem, solution)
+    tail = solution.residual_tail
     assert np.max(np.abs(tail)) <= 1e-10
 
 
