@@ -25,7 +25,6 @@ __all__ = [
     "jacobi",
     "laguerre",
     "custom",
-    "recurrence_coeffs",
     "recurrence_arrays",
     "eval_basis_derivs",
     "clenshaw",
@@ -106,28 +105,6 @@ def custom(
     )
 
 
-def recurrence_coeffs(basis: RecurrenceBasis, j: int) -> tuple[float, float, float]:
-    """Return (alpha_j, beta_j, gamma_j) of the three-term recurrence."""
-    if j < 0:
-        raise ValueError(f"recurrence index must be >= 0, got {j}")
-    if basis.family == "jacobi":
-        a, b = basis.alpha, basis.beta
-        g = a + b
-        if j == 0:
-            # Factored limit forms, valid for all a, b > -1 (the generic
-            # formulas hit 0/0 at g = 0 and g = -1).
-            return (2.0 / (g + 2.0), (b - a) / (g + 2.0), 0.0)
-        num = 2.0 * (j + 1.0) * (j + g + 1.0)
-        alpha_j = num / ((2.0 * j + g + 1.0) * (2.0 * j + g + 2.0))
-        beta_j = (b - a) * g / ((2.0 * j + g) * (2.0 * j + g + 2.0))
-        gamma_j = 2.0 * (j + a) * (j + b) / ((2.0 * j + g) * (2.0 * j + g + 1.0))
-        return (alpha_j, beta_j, gamma_j)
-    if basis.family == "laguerre":
-        return (-(j + 1.0), 2.0 * j + 1.0, -float(j))
-    out = basis.coeff_fn(j)
-    return (float(out[0]), float(out[1]), float(out[2]))
-
-
 def recurrence_arrays(
     basis: RecurrenceBasis, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,6 +118,8 @@ def recurrence_arrays(
         alpha = np.empty(count)
         beta = np.empty(count)
         gamma = np.empty(count)
+        # Factored limit forms at j = 0, valid for all a, b > -1 (the generic
+        # formulas hit 0/0 at g = 0 and g = -1).
         alpha[0] = 2.0 / (g + 2.0)
         beta[0] = (b - a) / (g + 2.0)
         gamma[0] = 0.0
@@ -157,7 +136,7 @@ def recurrence_arrays(
         beta = np.empty(count)
         gamma = np.empty(count)
         for k in range(count):
-            alpha[k], beta[k], gamma[k] = recurrence_coeffs(basis, k)
+            alpha[k], beta[k], gamma[k] = basis.coeff_fn(k)
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and np.isfinite(gamma).all()):
         raise BasisValidityError("recurrence requires finite alpha_j, beta_j, gamma_j for every j")
     if np.any(alpha == 0.0):
@@ -203,8 +182,8 @@ def clenshaw(basis: RecurrenceBasis, coeffs, x, dtype=np.float64):
     x may be a scalar or an ndarray; the float64 result matches its shape.
     Summing a Laguerre series at large x cancels intermediate terms up to
     ~1e9 times the value, so float64 evaluation is only good to ~1e-7
-    absolute there; the places that emit data pass np.longdouble.  coeffs
-    may already be a longdouble vector (the refined solver output).
+    absolute there; TauSolution.__call__ therefore sums its refined
+    longdouble coefficients with dtype=np.longdouble.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=dtype)
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:

@@ -23,7 +23,6 @@ __all__ = [
     "lu_factor",
     "lu_solve_factored",
     "lu_solve_transposed",
-    "lu_solve",
     "solve_upper_triangular",
     "cond_estimate_1",
     "cond_estimate_factored",
@@ -117,11 +116,6 @@ def lu_solve_transposed(factors: LUFactors, b) -> np.ndarray:
         if p != k:
             x[k], x[p] = x[p], x[k]
     return x
-
-
-def lu_solve(a, b) -> np.ndarray:
-    """Factor a and solve a single system A x = b."""
-    return lu_solve_factored(lu_factor(a), b)
 
 
 def solve_upper_triangular(u, b) -> np.ndarray:

@@ -23,15 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .basis import (
-    RecurrenceBasis,
-    change_of_basis,
-    clenshaw,
-    eval_basis_derivs,
-    recurrence_arrays,
-)
-from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored, solve_upper_triangular
-from .opmatrix import derivative_matrix, volterra_matrix
+from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
+from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored
+from .opmatrix import derivative_matrix, power_matrices, volterra_matrix
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -170,11 +164,11 @@ class TauSolution:
     """Coefficient vector of the degree-n approximation plus solve metadata.
 
     coeffs_extended carries the same vector in the precision the refinement
-    loop worked in; evaluators that must not lose the imposed conditions to
-    float64 rounding (Laguerre series summed at large x) read it instead of
-    coeffs.  residual_tail holds the coefficients of L[u_n] - f on the rows
-    the square system left free (indices n-m_c+1 .. n+h): the perturbation
-    the method committed to.
+    loop worked in, and calling the solution sums it in that precision, so
+    a Laguerre series summed at large x keeps the imposed conditions that
+    float64 rounding of coeffs would lose.  residual_tail holds the
+    coefficients of L[u_n] - f on the rows the square system left free
+    (indices n-m_c+1 .. n+h): the perturbation the method committed to.
     """
 
     basis: RecurrenceBasis
@@ -188,7 +182,7 @@ class TauSolution:
         return self.coeffs.shape[0] - 1
 
     def __call__(self, x):
-        return clenshaw(self.basis, self.coeffs, x)
+        return clenshaw(self.basis, self.coeffs_extended, x, np.longdouble)
 
 
 def operator_height(terms) -> int:
@@ -265,22 +259,18 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
 def assemble_pi_power(terms, s: int) -> np.ndarray:
     """Monomial-basis operator section of shape (s, s), for the classic
     change-of-basis route (similarity_pi) and for oracle comparisons."""
+    h_pow, _, theta_pow = (mat.data for mat in power_matrices(s))
     pi = np.zeros((s, s))
     k = np.arange(s)
     for term in terms:
         if term.action == "derivative":
-            a_mat = np.zeros((s, s))
-            j = np.arange(s - term.order, dtype=np.float64)
-            fall = np.ones_like(j)
-            for d in range(1, term.order + 1):
-                fall *= j + d
-            a_mat[k[: s - term.order], k[: s - term.order] + term.order] = fall
+            a_mat = h_pow
+            for _ in range(term.order - 1):
+                a_mat = a_mat @ h_pow
         elif term.action == "identity":
             a_mat = None
         else:
-            a_mat = np.zeros((s, s))
-            inv = 1.0 / (k[:-1] + 1.0)
-            a_mat[k[:-1] + 1, k[:-1]] = inv
+            a_mat = theta_pow.copy()
             a_mat[0, :] = -float(term.lower) ** (k + 1) / (k + 1.0)
         pi += _poly_in_shift(_power_shift_apply, term.coeff, a_mat, s)
     return pi
@@ -288,14 +278,17 @@ def assemble_pi_power(terms, s: int) -> np.ndarray:
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     """nu-coefficients of the polynomial with monomial coefficients coeff,
-    exact by construction, padded with zeros to the requested length."""
+    padded with zeros to the requested length: p(M) e_0 by Horner in the
+    shift, since nu_0 = 1."""
     c = _trim_poly(coeff)
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    v = change_of_basis(basis, d)
+    shift = partial(_shift_apply, *recurrence_arrays(basis, d + 1))
+    e0 = np.zeros((d + 1, 1))
+    e0[0] = 1.0
     out = np.zeros(length)
-    out[: d + 1] = solve_upper_triangular(v.T, c)
+    out[: d + 1] = _poly_in_shift(shift, c, e0, d + 1)[:, 0]
     return out
 
 
@@ -397,6 +390,6 @@ def sup_error(solution: TauSolution, reference, grid) -> float:
     xs = np.asarray(grid, dtype=np.float64).reshape(-1)
     if xs.shape[0] == 0:
         raise ValueError("grid must contain at least one point")
-    ys = clenshaw(solution.basis, solution.coeffs, xs)
+    ys = solution(xs)
     ref = np.array([float(reference(float(x))) for x in xs])
     return float(np.max(np.abs(ys - ref)))

@@ -43,7 +43,6 @@ from tau_spectra.cli import (
     GRID_BESSEL,
     GRID_JACOBI,
     TABLE2_LOWER,
-    _evaluate,
     airy_problem,
     bessel_problem,
     condition_comparison,
@@ -133,12 +132,12 @@ def test_boundary_layer_problem():
 
     # sharp layer: no independent float64 reference, so pin the solution by
     # agreement across bases and across degrees
-    y_leg = _evaluate(solve_tau(airy_problem(legendre, 400, 1e-5)), grid)
-    y_cheb = _evaluate(solve_tau(airy_problem(jacobi(-0.5, -0.5), 400, 1e-5)), grid)
+    y_leg = solve_tau(airy_problem(legendre, 400, 1e-5))(grid)
+    y_cheb = solve_tau(airy_problem(jacobi(-0.5, -0.5), 400, 1e-5))(grid)
     assert np.max(np.abs(y_leg - y_cheb)) <= 1e-8
 
-    y_350 = _evaluate(solve_tau(airy_problem(legendre, 350, 1e-5)), grid)
-    y_500 = _evaluate(solve_tau(airy_problem(legendre, 500, 1e-5)), grid)
+    y_350 = solve_tau(airy_problem(legendre, 350, 1e-5))(grid)
+    y_500 = solve_tau(airy_problem(legendre, 500, 1e-5))(grid)
     assert np.max(np.abs(y_350 - y_500)) <= 1e-8
     assert time.perf_counter() - start < 120.0
 
@@ -152,9 +151,9 @@ def test_bessel_convergence():
     sup_errors = []
     for n in (500, 1000, 1500, 2000):
         sol = solve_tau(bessel_problem(10, n))
-        ys = _evaluate(sol, grid)
-        left = _evaluate(sol, np.array([0.0]))[0]
-        right = _evaluate(sol, np.array([60.0]))[0]
+        ys = sol(grid)
+        left = sol(np.array([0.0]))[0]
+        right = sol(np.array([60.0]))[0]
         assert abs(left) <= 1e-8
         assert abs(right - 1.0) <= 1e-8
         sup_errors.append(float(np.max(np.abs(ys - reference))))
@@ -177,11 +176,11 @@ def test_conditioning_comparison():
     basis = jacobi(0.0, 0.0)
     problem = volterra_problem(basis, 20, TABLE2_LOWER)
     grid = _grid(GRID_JACOBI)
-    y_rec = _evaluate(solve_tau(problem), grid)
+    y_rec = solve_tau(problem)(grid)
     s = 21 + operator_height(problem.operator)
     v = change_of_basis(basis, s - 1)
     pi_sim = similarity_pi(v, assemble_pi_power(problem.operator, s))[:, :21]
-    y_sim = _evaluate(solve_tau_system(problem, pi_sim), grid)
+    y_sim = solve_tau_system(problem, pi_sim)(grid)
     scale = float(np.max(np.abs(y_rec)))
     assert np.max(np.abs(y_rec - y_sim)) <= 1e-8 * scale
     assert time.perf_counter() - start < 10.0

@@ -16,7 +16,6 @@ from tau_spectra.basis import (
     laguerre,
     norms_sq,
     recurrence_arrays,
-    recurrence_coeffs,
 )
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]
@@ -31,13 +30,19 @@ def _sample_points(basis, count=21):
     return np.linspace(lo, hi, count)
 
 
+def _coeffs(basis, j):
+    """(alpha_j, beta_j, gamma_j), read from the coefficient arrays."""
+    alpha, beta, gamma = recurrence_arrays(basis, j + 1)
+    return alpha[j], beta[j], gamma[j]
+
+
 def _forward_values(basis, n, x):
     """Forward recurrence nu_{j+1} = ((x - beta_j) nu_j - gamma_j nu_{j-1}) / alpha_j."""
     vals = np.empty(n + 1)
     vals[0] = 1.0
     prev = 0.0
     for j in range(n):
-        al, be, ga = recurrence_coeffs(basis, j)
+        al, be, ga = _coeffs(basis, j)
         vals[j + 1] = ((x - be) * vals[j] - ga * prev) / al
         prev = vals[j]
     return vals
@@ -64,7 +69,7 @@ def _exact_monomial_rows(basis, count):
 def test_legendre_coefficients_closed_form():
     basis = jacobi(0.0, 0.0)
     for j in range(12):
-        al, be, ga = recurrence_coeffs(basis, j)
+        al, be, ga = _coeffs(basis, j)
         assert al == pytest.approx((j + 1) / (2 * j + 1), rel=1e-15)
         assert be == pytest.approx(0.0, abs=1e-15)
         assert ga == pytest.approx(j / (2 * j + 1), rel=1e-15)
@@ -72,7 +77,7 @@ def test_legendre_coefficients_closed_form():
 
 def test_jacobi_j0_limit():
     basis = jacobi(1.0, -0.9)
-    al, be, ga = recurrence_coeffs(basis, 0)
+    al, be, ga = _coeffs(basis, 0)
     g = 0.1
     assert al == pytest.approx(2.0 / (g + 2.0), rel=1e-15)
     assert be == pytest.approx((-0.9 - 1.0) / (g + 2.0), rel=1e-15)
@@ -82,7 +87,7 @@ def test_jacobi_j0_limit():
 def test_laguerre_coefficients():
     basis = laguerre()
     for j in range(8):
-        al, be, ga = recurrence_coeffs(basis, j)
+        al, be, ga = _coeffs(basis, j)
         assert al == -(j + 1)
         assert be == 2 * j + 1
         assert ga == (-j if j else 0)
@@ -100,7 +105,7 @@ def test_three_term_identity(basis):
     xs = _sample_points(basis)
     for dtype in DTYPES:
         for j in range(41):
-            al, be, ga = recurrence_coeffs(basis, j)
+            al, be, ga = _coeffs(basis, j)
             for x in xs:
                 table = eval_basis_derivs(basis, j + 1, x, dtype=dtype)
                 assert table.dtype == dtype

@@ -7,7 +7,7 @@ import pytest
 
 from tau_spectra import cli
 from tau_spectra.cli import main
-from tau_spectra.tau import NonFiniteSolutionError
+from tau_spectra.tau import NonFiniteSolutionError, solve_tau
 
 BASE_CONFIG = {
     "basis": {"family": "jacobi", "alpha": 0.0, "beta": 0.0},
@@ -172,6 +172,35 @@ def test_solve_with_reference_column(tmp_path):
     assert 1e-8 <= sup <= 1e-5
 
 
+def test_csv_values_are_the_solution_evaluated(tmp_path):
+    # Laguerre series at large x lose ~1e-7 absolute when summed in float64,
+    # so the CSV matches only if solution(x) is the extended-precision sum.
+    m, degree = 5, 200
+    cfg = {
+        "basis": {"family": "laguerre"},
+        "degree": degree,
+        "operator": [
+            {"action": "derivative", "coeff": [0.0, 0.0, 1.0], "order": 2},
+            {"action": "derivative", "coeff": [0.0, 1.0], "order": 1},
+            {"action": "identity", "coeff": [-float(m * m), 0.0, 1.0]},
+        ],
+        "conditions": [
+            {"terms": [{"coeff": 1.0, "deriv": 0, "point": 0.0}], "value": 0.0},
+            {"terms": [{"coeff": 1.0, "deriv": 0, "point": 60.0}], "value": 1.0},
+        ],
+        "rhs": {"coeff": [0.0]},
+        "grid": {"start": 0.0, "stop": 60.0, "count": 121},
+        "reference": {"kind": "bessel", "params": {"m": m, "scale_point": 60.0}},
+    }
+    cfg_path = _write_config(tmp_path, cfg)
+    out_path = str(tmp_path / "out.csv")
+    assert main(["solve", cfg_path, "-o", out_path]) == 0
+    _, body = _read_csv(out_path)
+    grid = np.linspace(0.0, 60.0, 121)
+    expected = solve_tau(cli.bessel_problem(m, degree))(grid)
+    assert [row[1] for row in body] == ["%.17g" % y for y in expected]
+
+
 def test_opmatrix_triplets(tmp_path):
     out_path = str(tmp_path / "eta.csv")
     assert main(
@@ -271,7 +300,8 @@ def _solve_edited(old, new):
 
 _CONDITION = BASE_CONFIG["conditions"][0]
 
-# Each input once ended in a traceback, an exit 1, or a NaN/inf file with exit 0.
+# Each input once ended in a traceback, an exit 1, a NaN/inf file with exit 0,
+# or an exit code that depended on what first touched a non-finite value.
 BAD_INPUTS = {
     "three-conditions-at-degree-1": (*_solve(conditions=[_CONDITION] * 3), 2),
     "undecodable-config": (_solve()[0], b"\xff\xfe{", 2),
@@ -286,7 +316,14 @@ BAD_INPUTS = {
     "number-overflows-to-inf": (*_solve_edited(b'"start": -1.0', b'"start": 1e400'), 2),
     "grid-1e308-at-degree-3": (
         *_solve(degree=3, grid={"start": -1e308, "stop": 1e308, "count": 3}),
-        3,
+        2,
+    ),
+    "grid-1e308-bessel-reference": (
+        *_solve(
+            grid={"start": -1e308, "stop": 1e308, "count": 3},
+            reference={"kind": "bessel", "params": {"m": 1}},
+        ),
+        2,
     ),
     "opmatrix-overflow": (
         ["opmatrix", "--kind", "volterra", "--lower", "1e300", "--size", "8", "-o", "{out}"],
