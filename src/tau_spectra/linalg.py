@@ -77,8 +77,13 @@ def lu_factor(a) -> LUFactors:
         if p != k:
             work[[k, p]] = work[[p, k]]
         work[k + 1 :, k] /= work[k, k]
-        if k + 1 < n:
-            work[k + 1 :, k + 1 :] -= np.outer(work[k + 1 :, k], work[k, k + 1 :])
+        # A zero multiplier leaves its row unchanged, so the update stops at
+        # the last nonzero one: below the band of a Tau matrix (m_c + h rows
+        # under the diagonal) it would rewrite the trailing block for nothing.
+        nonzero = np.flatnonzero(work[k + 1 :, k])
+        if nonzero.size:
+            end = k + 2 + int(nonzero[-1])
+            work[k + 1 : end, k + 1 :] -= np.outer(work[k + 1 : end, k], work[k, k + 1 :])
     maxu = float(np.max(np.abs(np.triu(work))))
     growth = maxu / maxa if maxa > 0.0 else 1.0
     return LUFactors(lu=work, piv=piv, growth=growth)

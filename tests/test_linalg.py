@@ -83,6 +83,27 @@ def test_growth_recorded():
     assert np.isfinite(growth) and growth > 0.0
 
 
+def test_band_limited_update_matches_full_update():
+    # Tau shape: dense condition rows on top, a band of 3 below the diagonal
+    # under them.  Stopping each update at the last nonzero multiplier must
+    # give the factors of the full rank-one update bit for bit.
+    rng = np.random.default_rng(38)
+    size = 60
+    a = rng.standard_normal((size, size))
+    rows, cols = np.indices(a.shape)
+    a[rows - cols > 2 + 3] = 0.0
+    full = a.copy()
+    piv = np.zeros(size, dtype=np.int64)
+    for k in range(size):
+        piv[k] = p = k + int(np.argmax(np.abs(full[k:, k])))
+        full[[k, p]] = full[[p, k]]
+        full[k + 1 :, k] /= full[k, k]
+        full[k + 1 :, k + 1 :] -= np.outer(full[k + 1 :, k], full[k, k + 1 :])
+    factors = lu_factor(a)
+    assert np.array_equal(factors.piv, piv)
+    assert factors.lu.tobytes() == full.tobytes()
+
+
 def test_triangular_solves():
     rng = np.random.default_rng(36)
     size = 15
