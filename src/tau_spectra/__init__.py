@@ -16,6 +16,7 @@ from .basis import (
     eval_basis_derivs,
     jacobi,
     laguerre,
+    monomial,
     norms_sq,
     recurrence_arrays,
 )
@@ -30,10 +31,8 @@ from .linalg import (
     solve_upper_triangular,
 )
 from .opmatrix import (
-    OpMatrix,
     derivative_matrix,
     integral_matrix,
-    power_matrices,
     shift_matrix,
     similarity_pi,
     volterra_matrix,
@@ -55,7 +54,6 @@ from .tau import (
     TauProblem,
     TauSolution,
     assemble_pi,
-    assemble_pi_power,
     condition_row,
     derivative_term,
     identity_term,
@@ -76,6 +74,7 @@ __all__ = [
     "jacobi",
     "laguerre",
     "custom",
+    "monomial",
     "recurrence_arrays",
     "eval_basis_derivs",
     "clenshaw",
@@ -89,12 +88,10 @@ __all__ = [
     "solve_upper_triangular",
     "cond_estimate_1",
     "cond_estimate_factored",
-    "OpMatrix",
     "shift_matrix",
     "derivative_matrix",
     "integral_matrix",
     "volterra_matrix",
-    "power_matrices",
     "similarity_pi",
     "OperatorTerm",
     "derivative_term",
@@ -109,7 +106,6 @@ __all__ = [
     "NonFiniteSolutionError",
     "operator_height",
     "assemble_pi",
-    "assemble_pi_power",
     "project_rhs",
     "condition_row",
     "solve_tau",

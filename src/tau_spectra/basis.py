@@ -5,10 +5,11 @@ A basis nu_0, nu_1, ... with nu_0 = 1 is described by coefficients
 
     x * nu_j(x) = alpha_j * nu_{j+1}(x) + beta_j * nu_j(x) + gamma_j * nu_{j-1}(x)
 
-with nu_{-1} = 0.  Jacobi and Laguerre families are built in; arbitrary bases
-can be supplied through a coefficient callback.  Everything downstream
-(evaluation, operational matrices, the solver) consumes only these
-coefficients, so no change of basis to monomials is ever needed.
+with nu_{-1} = 0.  Jacobi and Laguerre families are built in; arbitrary bases,
+the monomials among them, are supplied through a coefficient callback.
+Everything downstream (evaluation, operational matrices, the solver)
+consumes only these coefficients, so no change of basis to monomials is
+ever needed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "jacobi",
     "laguerre",
     "custom",
+    "monomial",
     "recurrence_arrays",
     "eval_basis_derivs",
     "clenshaw",
@@ -103,6 +105,13 @@ def custom(
         custom_mu0=float(mu0),
         custom_interval=(float(interval[0]), float(interval[1])),
     )
+
+
+def monomial() -> RecurrenceBasis:
+    """The powers x^j: alpha_j = 1, beta_j = gamma_j = 0.  Not orthogonal,
+    so norms_sq rejects it; the classic change-of-basis route builds its
+    operator sections in this basis."""
+    return custom(lambda j: (1.0, 0.0, 0.0), mu0=math.nan)
 
 
 def recurrence_arrays(

@@ -8,15 +8,17 @@ section and the classic route through the monomial basis.
 Commands raise; ``main`` alone maps an exception to an exit code and one
 ``tau-spectra: ...`` status line on standard error: 0 success; 2 ``config
 error`` for invalid input anywhere (schema violations, unusable values,
-NaN/Infinity literals or numbers overflowing to infinity in a config, bad
-command-line values); 3 ``numerical failure`` for a singular Tau system,
-non-finite coefficients or output values, or overflow; 4 ``I/O error``.  No
-input ends in a traceback, and no NaN or infinity is written with exit 0.
+NaN/Infinity literals or numbers overflowing to infinity in a config, sizes
+past their bounds, bad command-line values); 3 ``numerical failure`` for a
+singular Tau system, non-finite coefficients or output values, or overflow;
+4 ``I/O error``.  No input ends in a traceback, and no NaN or infinity is
+written with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,12 +27,11 @@ import sys
 import jsonschema
 import numpy as np
 
-from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre
+from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre, monomial
 from .linalg import cond_estimate_1
 from .opmatrix import (
     derivative_matrix,
     integral_matrix,
-    power_matrices,
     shift_matrix,
     similarity_pi,
     volterra_matrix,
@@ -41,7 +42,7 @@ from .tau import (
     ConditionTerm,
     NonFiniteSolutionError,
     TauProblem,
-    assemble_pi_power,
+    assemble_pi,
     derivative_term,
     identity_term,
     operator_height,
@@ -66,6 +67,10 @@ TABLE1_EPSILON = 1e-5
 TABLE2_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (1.0, -0.9), (10.0, 0.0))
 TABLE2_DEGREES = (50, 100, 150, 1000)
 TABLE2_LOWER = 1.25
+
+# Most points a config grid may ask for; each costs a Clenshaw sum and,
+# with a reference, a Python-level reference evaluation.
+MAX_GRID_COUNT = 100_000
 
 
 class ConfigError(ValueError):
@@ -143,7 +148,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "start": {"type": "number"},
                 "stop": {"type": "number"},
-                "count": {"type": "integer", "minimum": 2},
+                "count": {"type": "integer", "minimum": 2, "maximum": MAX_GRID_COUNT},
             },
         },
         "reference": {
@@ -396,6 +401,7 @@ def cmd_bessel(args: argparse.Namespace) -> None:
     degrees = list(args.degrees)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ConfigError("degrees must be strictly ascending")
+    problems = [bessel_problem(args.m, n) for n in degrees]
     grid = _grid(GRID_BESSEL)
     scale = bessel_j(args.m, 60.0)
     if scale == 0.0:
@@ -403,8 +409,8 @@ def cmd_bessel(args: argparse.Namespace) -> None:
     refs = np.array([bessel_j(args.m, float(x)) / scale for x in grid])
     os.makedirs(args.output, exist_ok=True)
 
-    for n in degrees:
-        ys = solve_tau(bessel_problem(args.m, n))(grid)
+    for n, problem in zip(degrees, problems):
+        ys = solve_tau(problem)(grid)
         errs = np.abs(ys - refs)
         print(f"n={n}: sup error {_fmt(float(np.max(errs)))}, boundary value {_fmt(float(ys[-1]))}")
         path = os.path.join(args.output, f"bessel_m{args.m}_n{n}.csv")
@@ -414,32 +420,34 @@ def cmd_bessel(args: argparse.Namespace) -> None:
 def _parse_basis_spec(spec: str) -> RecurrenceBasis:
     if spec == "laguerre":
         return laguerre()
+    if spec == "monomial":
+        return monomial()
     if spec.startswith("jacobi:"):
         parts = spec[len("jacobi:") :].split(",")
         if len(parts) != 2:
             raise ConfigError("jacobi basis spec must be jacobi:<alpha>,<beta>")
         return jacobi(float(parts[0]), float(parts[1]))
-    raise ConfigError(f"unknown basis spec {spec!r}, expected jacobi:<a>,<b> or laguerre")
+    raise ConfigError(
+        f"unknown basis spec {spec!r}, expected jacobi:<a>,<b>, laguerre or monomial"
+    )
+
+
+OPMATRIX_KINDS = {
+    "shift": shift_matrix,
+    "derivative": derivative_matrix,
+    "integral": integral_matrix,
+    "volterra": volterra_matrix,
+}
 
 
 def cmd_opmatrix(args: argparse.Namespace) -> None:
-    power_kinds = {"power_shift": 1, "power_derivative": 0, "power_integral": 2}
-    if args.kind in power_kinds:
-        mat = power_matrices(args.size)[power_kinds[args.kind]]
-    else:
-        basis = _parse_basis_spec(args.basis)
-        if args.kind == "shift":
-            mat = shift_matrix(basis, args.size)
-        elif args.kind == "derivative":
-            mat = derivative_matrix(basis, args.size)
-        elif args.kind == "integral":
-            mat = integral_matrix(basis, args.size)
-        else:
-            if args.lower is None:
-                raise ConfigError("volterra matrix requires --lower")
-            mat = volterra_matrix(basis, args.size, args.lower)
-    rows, cols = np.nonzero(mat.data)
-    _write_csv(args.output, ["row", "col", "value"], [rows, cols, mat.data[rows, cols]])
+    basis = _parse_basis_spec(args.basis)
+    if args.kind == "volterra" and args.lower is None:
+        raise ConfigError("volterra matrix requires --lower")
+    extra = (args.lower,) if args.kind == "volterra" else ()
+    mat = OPMATRIX_KINDS[args.kind](basis, args.size, *extra)
+    rows, cols = np.nonzero(mat)
+    _write_csv(args.output, ["row", "col", "value"], [rows, cols, mat[rows, cols]])
 
 
 def condition_comparison(n: int) -> tuple[float, float, float]:
@@ -454,7 +462,9 @@ def condition_comparison(n: int) -> tuple[float, float, float]:
 
     s = n + 1 + operator_height(problem.operator)
     v = change_of_basis(basis, s - 1)
-    pi_sim = similarity_pi(v, assemble_pi_power(problem.operator, s))[:, : n + 1]
+    pi_power = np.zeros((s, s))
+    pi_power[:, : n + 1] = assemble_pi(dataclasses.replace(problem, basis=monomial()))
+    pi_sim = similarity_pi(v, pi_power)[:, : n + 1]
     err_sim = sup_error(solve_tau_system(problem, pi_sim), reference, grid)
     return err_rec, err_sim, cond_estimate_1(v)
 
@@ -506,20 +516,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bessel)
 
     p = sub.add_parser("opmatrix", help="dump an operational matrix as CSV triplets")
-    p.add_argument("--basis", default="jacobi:0,0", help="jacobi:<alpha>,<beta> or laguerre")
     p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "shift",
-            "derivative",
-            "integral",
-            "volterra",
-            "power_shift",
-            "power_derivative",
-            "power_integral",
-        ],
+        "--basis", default="jacobi:0,0", help="jacobi:<alpha>,<beta>, laguerre or monomial"
     )
+    p.add_argument("--kind", required=True, choices=list(OPMATRIX_KINDS))
     p.add_argument("--size", type=int, required=True, help="stored section size")
     p.add_argument("--lower", type=float, default=None, help="volterra lower limit")
     p.add_argument("-o", "--output", required=True, help="output CSV path")

@@ -5,9 +5,9 @@ column vector a, and an operation L maps a to L_nu a, where column j of L_nu
 holds the nu-coefficients of L[nu_j].  The shift (multiplication by x) matrix
 is tridiagonal straight from the recurrence; the derivative and integral
 matrices follow from column recurrences in the same coefficients, so no
-ill-conditioned change of basis is involved.  The monomial-basis matrices and
-the similarity transform V Pi V^{-1} are provided for comparison; that
-classic route degrades quickly with size, which is the point being made.
+ill-conditioned change of basis is involved.  The similarity transform
+V Pi V^{-1} is provided for comparison; that classic route degrades quickly
+with size, which is the point being made.
 
 The derivative matrix eta is filled column by column: column j+1 follows
 from columns j and j-1 through
@@ -29,56 +29,44 @@ entry equals the corresponding entry of the infinite matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import RecurrenceBasis, eval_basis_derivs, recurrence_arrays
 from .linalg import solve_upper_triangular
 
 __all__ = [
-    "OpMatrix",
     "shift_matrix",
     "derivative_matrix",
     "integral_matrix",
     "volterra_matrix",
-    "power_matrices",
     "similarity_pi",
 ]
 
-
-@dataclass(frozen=True)
-class OpMatrix:
-    """A finite section of an operational matrix.
-
-    kind is one of shift, derivative, integral, volterra, power_shift,
-    power_derivative, power_integral; size is the stored section size s
-    (data has shape (s, s)); lower is the lower integration limit for the
-    volterra kind and None otherwise.
-    """
-
-    kind: str
-    size: int
-    data: np.ndarray
-    lower: float | None = None
+# Largest dense section s x s any builder or solve allocates: 128 MiB per
+# float64 copy.  Admits the Bessel figure (degree 2000, section 2003) and
+# both error tables (degree 1000) with room to spare.
+MAX_SECTION_SIZE = 4096
 
 
-def _check_size(s: int) -> None:
-    if s < 1:
-        raise ValueError(f"matrix size must be >= 1, got {s}")
+def _check_size(s: int, smallest: int = 1) -> None:
+    if not smallest <= s <= MAX_SECTION_SIZE:
+        raise ValueError(f"matrix size must be in {smallest}..{MAX_SECTION_SIZE}, got {s}")
 
 
-def shift_matrix(basis: RecurrenceBasis, s: int) -> OpMatrix:
+def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
+    """Product M @ t using only the tridiagonal coefficients of M."""
+    s = t.shape[0]
+    out = beta[:s, None] * t
+    out[1:] += alpha[: s - 1, None] * t[:-1]
+    out[:-1] += gamma[1:s, None] * t[1:]
+    return out
+
+
+def shift_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Tridiagonal matrix of multiplication by x: column j holds
     (gamma_j, beta_j, alpha_j) at rows j-1, j, j+1."""
     _check_size(s)
-    alpha, beta, gamma = recurrence_arrays(basis, s)
-    data = np.zeros((s, s))
-    idx = np.arange(s)
-    data[idx, idx] = beta
-    data[idx[1:], idx[1:] - 1] = alpha[: s - 1]
-    data[idx[1:] - 1, idx[1:]] = gamma[1:]
-    return OpMatrix(kind="shift", size=s, data=data)
+    return _shift_apply(*recurrence_arrays(basis, s), np.eye(s))
 
 
 def _derivative_table(alpha, beta, gamma, s: int) -> np.ndarray:
@@ -95,12 +83,11 @@ def _derivative_table(alpha, beta, gamma, s: int) -> np.ndarray:
     return eta
 
 
-def derivative_matrix(basis: RecurrenceBasis, s: int) -> OpMatrix:
+def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Strictly upper triangular matrix of d/dx: column j holds the
     nu-coefficients of nu_j'."""
     _check_size(s)
-    alpha, beta, gamma = recurrence_arrays(basis, s + 1)
-    return OpMatrix(kind="derivative", size=s, data=_derivative_table(alpha, beta, gamma, s))
+    return _derivative_table(*recurrence_arrays(basis, s + 1), s)
 
 
 def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
@@ -120,44 +107,22 @@ def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return theta
 
 
-def integral_matrix(basis: RecurrenceBasis, s: int) -> OpMatrix:
+def integral_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Matrix of antidifferentiation, with the free constant fixed by a zero
     nu_0-component: row 0 is identically zero."""
-    if s < 2:
-        raise ValueError(f"integral section needs size >= 2, got {s}")
-    theta = _integral_table_ext(basis, s)
-    return OpMatrix(kind="integral", size=s, data=np.ascontiguousarray(theta[:s]))
+    _check_size(s, 2)
+    return np.ascontiguousarray(_integral_table_ext(basis, s)[:s])
 
 
-def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> OpMatrix:
+def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
     """Matrix of u -> integral from a to x of u: the antiderivative matrix
     with row 0 replaced so every column vanishes at x = a."""
-    if s < 2:
-        raise ValueError(f"integral section needs size >= 2, got {s}")
-    a = float(a)
+    _check_size(s, 2)
     theta = _integral_table_ext(basis, s)
-    nu_at_a = eval_basis_derivs(basis, s, a)[0]
-    data = np.ascontiguousarray(theta[:s])
-    data[0, :] = -(nu_at_a[1:] @ theta[1:])
-    return OpMatrix(kind="volterra", size=s, data=data, lower=a)
-
-
-def power_matrices(s: int) -> tuple[OpMatrix, OpMatrix, OpMatrix]:
-    """Monomial-basis sections (H, M, Theta): derivative, shift,
-    antiderivative with zero constant term."""
-    _check_size(s)
-    h = np.zeros((s, s))
-    m = np.zeros((s, s))
-    t = np.zeros((s, s))
-    k = np.arange(s - 1)
-    h[k, k + 1] = k + 1.0
-    m[k + 1, k] = 1.0
-    t[k + 1, k] = 1.0 / (k + 1.0)
-    return (
-        OpMatrix(kind="power_derivative", size=s, data=h),
-        OpMatrix(kind="power_shift", size=s, data=m),
-        OpMatrix(kind="power_integral", size=s, data=t),
-    )
+    nu_at_a = eval_basis_derivs(basis, s, float(a))[0]
+    mat = np.ascontiguousarray(theta[:s])
+    mat[0, :] = -(nu_at_a[1:] @ theta[1:])
+    return mat
 
 
 def similarity_pi(v: np.ndarray, pi_power: np.ndarray) -> np.ndarray:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
 from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored
-from .opmatrix import derivative_matrix, power_matrices, volterra_matrix
+from .opmatrix import MAX_SECTION_SIZE, _shift_apply, derivative_matrix, volterra_matrix
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -41,7 +40,6 @@ __all__ = [
     "Diagnostics",
     "operator_height",
     "assemble_pi",
-    "assemble_pi_power",
     "project_rhs",
     "condition_row",
     "solve_tau",
@@ -150,6 +148,15 @@ class TauProblem:
         self.rhs = _trim_poly(self.rhs)
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
+        s = self.degree + 1 + operator_height(self.operator)
+        if s > MAX_SECTION_SIZE:
+            raise ValueError(f"section size {s} (degree + 1 + height) exceeds {MAX_SECTION_SIZE}")
+        # A derivative of order above s is exactly zero on the section, yet
+        # would still cost order - 1 dense products or a deriv x n table.
+        orders = [t.order for t in self.operator]
+        orders += [t.deriv for c in self.conditions for t in c.terms]
+        if max(orders) > s:
+            raise ValueError(f"derivative order {max(orders)} exceeds the section size {s}")
 
 
 @dataclass(frozen=True)
@@ -166,20 +173,24 @@ class TauSolution:
     coeffs_extended carries the same vector in the precision the refinement
     loop worked in, and calling the solution sums it in that precision, so
     a Laguerre series summed at large x keeps the imposed conditions that
-    float64 rounding of coeffs would lose.  residual_tail holds the
-    coefficients of L[u_n] - f on the rows the square system left free
-    (indices n-m_c+1 .. n+h): the perturbation the method committed to.
+    float64 rounding of coeffs would lose; coeffs is its float64 image.
+    residual_tail holds the coefficients of L[u_n] - f on the rows the
+    square system left free (indices n-m_c+1 .. n+h): the perturbation the
+    method committed to.
     """
 
     basis: RecurrenceBasis
-    coeffs: np.ndarray
     diagnostics: Diagnostics
     coeffs_extended: np.ndarray
     residual_tail: np.ndarray
 
     @property
+    def coeffs(self) -> np.ndarray:
+        return np.asarray(self.coeffs_extended, dtype=np.float64)
+
+    @property
     def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs_extended.shape[0] - 1
 
     def __call__(self, x):
         return clenshaw(self.basis, self.coeffs_extended, x, np.longdouble)
@@ -199,32 +210,16 @@ def operator_height(terms) -> int:
     return h
 
 
-def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
-    """Product M @ t using only the tridiagonal coefficients of M."""
-    s = t.shape[0]
-    out = beta[:s, None] * t
-    out[1:] += alpha[: s - 1, None] * t[:-1]
-    out[:-1] += gamma[1:s, None] * t[1:]
-    return out
-
-
-def _power_shift_apply(t: np.ndarray) -> np.ndarray:
-    """Product M @ t for the monomial shift, which moves rows down by one."""
-    out = np.zeros_like(t)
-    out[1:] = t[:-1]
-    return out
-
-
-def _poly_in_shift(shift, p: np.ndarray, a_mat: np.ndarray | None, s: int):
-    """Horner evaluation of p(M) @ A (A = identity when a_mat is None), where
-    shift(t) computes M @ t."""
+def _poly_in_shift(recurrence, p: np.ndarray, a_mat: np.ndarray | None, s: int):
+    """Horner evaluation of p(M) @ A (A = identity when a_mat is None), with
+    M the shift of the recurrence arrays (alpha, beta, gamma)."""
     if a_mat is None:
         t = np.zeros((s, s))
         np.fill_diagonal(t, p[-1])
     else:
         t = p[-1] * a_mat
     for k in range(p.shape[0] - 2, -1, -1):
-        t = shift(t)
+        t = _shift_apply(*recurrence, t)
         if a_mat is None:
             t[np.diag_indices(s)] += p[k]
         else:
@@ -238,42 +233,22 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
     n = problem.degree
     h = operator_height(problem.operator)
     s = n + 1 + h
-    shift = partial(_shift_apply, *recurrence_arrays(problem.basis, s + 1))
+    recurrence = recurrence_arrays(problem.basis, s + 1)
     eta = None
     pi = np.zeros((s, s))
     for term in problem.operator:
         if term.action == "derivative":
             if eta is None:
-                eta = derivative_matrix(problem.basis, s).data
+                eta = derivative_matrix(problem.basis, s)
             a_mat = eta
             for _ in range(term.order - 1):
                 a_mat = eta @ a_mat
         elif term.action == "identity":
             a_mat = None
         else:
-            a_mat = volterra_matrix(problem.basis, s, term.lower).data
-        pi += _poly_in_shift(shift, term.coeff, a_mat, s)
+            a_mat = volterra_matrix(problem.basis, s, term.lower)
+        pi += _poly_in_shift(recurrence, term.coeff, a_mat, s)
     return pi[:, : n + 1]
-
-
-def assemble_pi_power(terms, s: int) -> np.ndarray:
-    """Monomial-basis operator section of shape (s, s), for the classic
-    change-of-basis route (similarity_pi) and for oracle comparisons."""
-    h_pow, _, theta_pow = (mat.data for mat in power_matrices(s))
-    pi = np.zeros((s, s))
-    k = np.arange(s)
-    for term in terms:
-        if term.action == "derivative":
-            a_mat = h_pow
-            for _ in range(term.order - 1):
-                a_mat = a_mat @ h_pow
-        elif term.action == "identity":
-            a_mat = None
-        else:
-            a_mat = theta_pow.copy()
-            a_mat[0, :] = -float(term.lower) ** (k + 1) / (k + 1.0)
-        pi += _poly_in_shift(_power_shift_apply, term.coeff, a_mat, s)
-    return pi
 
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
@@ -284,11 +259,11 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    shift = partial(_shift_apply, *recurrence_arrays(basis, d + 1))
+    recurrence = recurrence_arrays(basis, d + 1)
     e0 = np.zeros((d + 1, 1))
     e0[0] = 1.0
     out = np.zeros(length)
-    out[: d + 1] = _poly_in_shift(shift, c, e0, d + 1)[:, 0]
+    out[: d + 1] = _poly_in_shift(recurrence, c, e0, d + 1)[:, 0]
     return out
 
 
@@ -345,13 +320,11 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
         growth=factors.growth,
         height=h,
     )
-    coeffs = np.asarray(coeffs_ext, dtype=np.float64)
     return TauSolution(
         basis=problem.basis,
-        coeffs=coeffs,
         diagnostics=diags,
         coeffs_extended=coeffs_ext,
-        residual_tail=pi[keep:] @ coeffs - f_nu[keep:],
+        residual_tail=pi[keep:] @ np.asarray(coeffs_ext, dtype=np.float64) - f_nu[keep:],
     )
 
 

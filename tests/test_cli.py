@@ -214,7 +214,9 @@ def test_opmatrix_triplets(tmp_path):
 
 def test_opmatrix_power_kind(tmp_path):
     out_path = str(tmp_path / "hpow.csv")
-    assert main(["opmatrix", "--kind", "power_derivative", "--size", "3", "-o", out_path]) == 0
+    assert main(
+        ["opmatrix", "--basis", "monomial", "--kind", "derivative", "--size", "3", "-o", out_path]
+    ) == 0
     _, body = _read_csv(out_path)
     triplets = {(int(r), int(c)): float(v) for r, c, v in body}
     assert triplets == {(0, 1): 1.0, (1, 2): 2.0}
@@ -333,8 +335,32 @@ BAD_INPUTS = {
 }
 
 
+# Each sets a size far past its bound.  Unchecked, each would allocate
+# gigabytes, or loop for hours, before anything failed.
+OVERSIZED_INPUTS = {
+    "degree-1e6": (*_solve(degree=10**6), 2),
+    "condition-deriv-1e9": (
+        *_solve(conditions=[{"terms": [{"coeff": 1.0, "deriv": 10**9, "point": 0.0}], "value": 1.0}]),
+        2,
+    ),
+    "derivative-order-1e9": (
+        *_solve(operator=[{"action": "derivative", "coeff": [1.0], "order": 10**9}]),
+        2,
+    ),
+    "grid-count-1e9": (*_solve(grid={"start": -1.0, "stop": 1.0, "count": 10**9}), 2),
+    "opmatrix-size-1e6": (
+        ["opmatrix", "--kind", "integral", "--size", "1000000", "-o", "{out}"],
+        None,
+        2,
+    ),
+    "condition-demo-n-1e6": (["condition-demo", "-n", "1000000", "-o", "{out}"], None, 2),
+    "bessel-degree-1e6": (["bessel", "--degrees", "20", "1000000", "-o", "{out}"], None, 2),
+}
+ALL_BAD_INPUTS = {**BAD_INPUTS, **OVERSIZED_INPUTS}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv, config, code", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+@pytest.mark.parametrize("argv, config, code", ALL_BAD_INPUTS.values(), ids=ALL_BAD_INPUTS.keys())
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, config, code):
     cfg_path = tmp_path / "problem.json"
     out_path = tmp_path / "out"

@@ -5,6 +5,7 @@ import pytest
 
 from tau_spectra.basis import clenshaw, jacobi, laguerre
 from tau_spectra.linalg import SingularMatrixError
+from tau_spectra.opmatrix import MAX_SECTION_SIZE
 from tau_spectra.oracles import volterra_exact, volterra_forcing
 from tau_spectra.tau import (
     TauProblem,
@@ -230,6 +231,33 @@ def test_overconstrained_rejected():
                 degree=0,
             )
         )
+
+
+def test_section_size_bounded():
+    """Sizes are checked on construction, before any section is allocated."""
+    first_order = [derivative_term([1.0]), identity_term([-1.0])]
+    at_limit = MAX_SECTION_SIZE - 1  # height 0: section degree + 1
+    TauProblem(basis=LEG, operator=first_order, conditions=[], rhs=[0.0], degree=at_limit)
+    with pytest.raises(ValueError, match="section size"):
+        TauProblem(basis=LEG, operator=first_order, conditions=[], rhs=[0.0], degree=at_limit + 1)
+    # degree 3, height 0: section size 4 admits derivative order 4, not 5
+    for order, deriv in ((4, 0), (1, 4)):
+        TauProblem(
+            basis=LEG,
+            operator=[derivative_term([1.0], order)],
+            conditions=[point_condition(0.0, 0.0, deriv)],
+            rhs=[0.0],
+            degree=3,
+        )
+    for order, deriv in ((5, 0), (1, 5)):
+        with pytest.raises(ValueError, match="exceeds the section size 4"):
+            TauProblem(
+                basis=LEG,
+                operator=[derivative_term([1.0], order)],
+                conditions=[point_condition(0.0, 0.0, deriv)],
+                rhs=[0.0],
+                degree=3,
+            )
 
 
 def test_singular_system_raises():
