@@ -11,8 +11,9 @@ error`` for invalid input anywhere (schema violations, unusable values,
 NaN/Infinity literals or numbers overflowing to infinity in a config, sizes
 past their bounds, bad command-line values); 3 ``numerical failure`` for a
 singular Tau system, non-finite coefficients or output values, or overflow;
-4 ``I/O error``.  No input ends in a traceback, and no NaN or infinity is
-written with exit 0.
+4 ``I/O error``.  Commands run with numpy floating-point warnings off, so
+the finiteness checks decide and no warning precedes the status line.  No
+input ends in a traceback, and no NaN or infinity is written with exit 0.
 """
 
 from __future__ import annotations
@@ -283,8 +284,7 @@ def _problem_from_config(cfg: dict):
         degree=int(cfg["degree"]),
     )
     g = cfg["grid"]
-    with np.errstate(all="ignore"):
-        grid = np.linspace(float(g["start"]), float(g["stop"]), int(g["count"]))
+    grid = np.linspace(float(g["start"]), float(g["stop"]), int(g["count"]))
     if not np.all(np.isfinite(grid)):
         raise ConfigError("grid points are not finite: stop - start overflows")
     ref, label = _reference_from_config(cfg.get("reference"))
@@ -535,7 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):
+            args.func(args)
     except jsonschema.ValidationError as exc:
         _status(f"config error: {exc.message}")
         return EXIT_CONFIG

@@ -9,14 +9,15 @@ ill-conditioned change of basis is involved.  The similarity transform
 V Pi V^{-1} is provided for comparison; that classic route degrades quickly
 with size, which is the point being made.
 
-The derivative matrix eta is filled column by column: column j+1 follows
-from columns j and j-1 through
+The derivative matrix H = eta and its powers are filled column by column:
+differentiating the recurrence d times gives, with H^0 = I and column 0 zero,
 
-    eta[i, j+1] = (alpha[i-1]*eta[i-1, j] + (beta[i]-beta[j])*eta[i, j]
-                   + gamma[i+1]*eta[i+1, j] - gamma[j]*eta[i, j-1]) / alpha[j]
-    eta[j, j+1] = (alpha[j-1]*eta[j-1, j] + 1) / alpha[j]
+    H^d[i, j+1] = (alpha[i-1]*H^d[i-1, j] + (beta[i]-beta[j])*H^d[i, j]
+                   + gamma[i+1]*H^d[i+1, j] - gamma[j]*H^d[i, j-1]
+                   + d*H^(d-1)[i, j]) / alpha[j],
 
-with eta[0, 1] = 1/alpha[0] and column 0 zero.  The integral matrix theta is
+so one pass over the columns builds every power up to the highest order
+asked for, without a matrix product.  The integral matrix theta is
 back substitution against eta: theta[j+1, j] = alpha[j]/(j+1), then for
 i = j-1 .. 0
 
@@ -69,25 +70,32 @@ def shift_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _shift_apply(*recurrence_arrays(basis, s), np.eye(s))
 
 
-def _derivative_table(alpha, beta, gamma, s: int) -> np.ndarray:
-    """The s x s derivative section by the column recurrence above."""
-    eta = np.zeros((s, s))
-    if s >= 2:
-        eta[0, 1] = 1.0 / alpha[0]
-    for j in range(1, s - 1):
-        col = (beta[:j] - beta[j]) * eta[:j, j] + gamma[1 : j + 1] * eta[1 : j + 1, j]
-        col -= gamma[j] * eta[:j, j - 1]
-        col[1:] += alpha[: j - 1] * eta[: j - 1, j]
-        eta[:j, j + 1] = col / alpha[j]
-        eta[j, j + 1] = (alpha[j - 1] * eta[j - 1, j] + 1.0) / alpha[j]
-    return eta
+def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, np.ndarray]:
+    """{d: H^d} on an s-section for each requested order d >= 1.  Column d-1
+    of t (w) holds column j (j-1) of H^d: O(r s) memory beyond the sections."""
+    r = max(orders)
+    powers = {d: np.zeros((s, s)) for d in orders}
+    t, w = np.zeros((2, s, r))
+    scale = np.arange(2.0, r + 1.0)
+    for j in range(s - 1):
+        col = (beta[: j + 1, None] - beta[j]) * t[: j + 1] + gamma[1 : j + 2, None] * t[1 : j + 2]
+        col -= gamma[j] * w[: j + 1]
+        col[1:] += alpha[:j, None] * t[:j]
+        col[j, 0] += 1.0  # d-term of H^1: column j of H^0 = I is e_j
+        if r > 1:
+            col[:, 1:] += scale * t[: j + 1, :-1]
+        w, t = t, w
+        np.divide(col, alpha[j], out=t[: j + 1])
+        for d in orders:
+            powers[d][: j + 1, j + 1] = t[: j + 1, d - 1]
+    return powers
 
 
 def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Strictly upper triangular matrix of d/dx: column j holds the
     nu-coefficients of nu_j'."""
     _check_size(s)
-    return _derivative_table(*recurrence_arrays(basis, s + 1), s)
+    return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1]
 
 
 def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
@@ -97,7 +105,7 @@ def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
     the last column's back substitution reads exist.
     """
     alpha, beta, gamma = recurrence_arrays(basis, s + 2)
-    eta = _derivative_table(alpha, beta, gamma, s + 1)
+    eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
     theta = np.zeros((s + 1, s))
     for j in range(s):
         theta[j + 1, j] = alpha[j] / (j + 1)

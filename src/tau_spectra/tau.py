@@ -9,10 +9,11 @@ approximation u_n = sum_k a_k nu_k satisfies the conditions exactly and the
 first n+1-m_c coefficient rows of L u_n = f; the remaining rows of the
 residual are the tail that the method perturbs the equation by.
 
-Operator sections are composed per term as p(M) * A with A one of H^i, I, or
+The operator section is sum over terms of p(M) * A with A one of H^i, I, or
 the Volterra matrix, all generated at section size n+1+h, where the height h
 is how far the operator can raise coefficient indices; the section therefore
-holds every row the degree-n image can touch.
+holds every row the degree-n image can touch.  One recurrence pass builds
+every power H^i, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
 from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored
-from .opmatrix import MAX_SECTION_SIZE, _shift_apply, derivative_matrix, volterra_matrix
+from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, volterra_matrix
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -152,7 +153,7 @@ class TauProblem:
         if s > MAX_SECTION_SIZE:
             raise ValueError(f"section size {s} (degree + 1 + height) exceeds {MAX_SECTION_SIZE}")
         # A derivative of order above s is exactly zero on the section, yet
-        # would still cost order - 1 dense products or a deriv x n table.
+        # would still cost an order-deep recurrence pass or a deriv x n table.
         orders = [t.order for t in self.operator]
         orders += [t.deriv for c in self.conditions for t in c.terms]
         if max(orders) > s:
@@ -210,20 +211,21 @@ def operator_height(terms) -> int:
     return h
 
 
-def _poly_in_shift(recurrence, p: np.ndarray, a_mat: np.ndarray | None, s: int):
-    """Horner evaluation of p(M) @ A (A = identity when a_mat is None), with
-    M the shift of the recurrence arrays (alpha, beta, gamma)."""
-    if a_mat is None:
-        t = np.zeros((s, s))
-        np.fill_diagonal(t, p[-1])
-    else:
-        t = p[-1] * a_mat
-    for k in range(p.shape[0] - 2, -1, -1):
-        t = _shift_apply(*recurrence, t)
-        if a_mat is None:
-            t[np.diag_indices(s)] += p[k]
-        else:
-            t += p[k] * a_mat
+def _poly_in_shift(recurrence, terms, shape: tuple[int, int]) -> np.ndarray:
+    """Sum of p(M) @ A over the (p, A) terms (A = None for the identity),
+    with M the shift of the recurrence arrays (alpha, beta, gamma), by one
+    Horner chain: from the top degree down, t <- M t + sum of p_k A."""
+    diag = (np.arange(min(shape)),) * 2
+    top = max(p.shape[0] for p, _ in terms) - 1
+    t = np.zeros(shape)
+    for k in range(top, -1, -1):
+        if k < top:
+            t = _shift_apply(*recurrence, t)
+        for p, a_mat in terms:
+            if k < p.shape[0] and a_mat is None:
+                t[diag] += p[k]
+            elif k < p.shape[0]:
+                t += p[k] * a_mat
     return t
 
 
@@ -231,40 +233,28 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
     """Operator section Pi of shape (n+1+h, n+1): Pi @ a holds the
     nu-coefficients of L[u_n]."""
     n = problem.degree
-    h = operator_height(problem.operator)
-    s = n + 1 + h
+    s = n + 1 + operator_height(problem.operator)
     recurrence = recurrence_arrays(problem.basis, s + 1)
-    eta = None
-    pi = np.zeros((s, s))
-    for term in problem.operator:
-        if term.action == "derivative":
-            if eta is None:
-                eta = derivative_matrix(problem.basis, s)
-            a_mat = eta
-            for _ in range(term.order - 1):
-                a_mat = eta @ a_mat
-        elif term.action == "identity":
-            a_mat = None
-        else:
-            a_mat = volterra_matrix(problem.basis, s, term.lower)
-        pi += _poly_in_shift(recurrence, term.coeff, a_mat, s)
-    return pi[:, : n + 1]
+    orders = {t.order for t in problem.operator if t.action == "derivative"}
+    powers = _derivative_table(*recurrence, s, orders) if orders else {}
+    terms = [
+        (t.coeff, volterra_matrix(problem.basis, s, t.lower))
+        if t.action == "volterra"
+        else (t.coeff, powers.get(t.order))  # identity terms have order 0: None
+        for t in problem.operator
+    ]
+    return _poly_in_shift(recurrence, terms, (s, s))[:, : n + 1]
 
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     """nu-coefficients of the polynomial with monomial coefficients coeff,
     padded with zeros to the requested length: p(M) e_0 by Horner in the
-    shift, since nu_0 = 1."""
+    shift, since nu_0 = 1 and e_0 is the identity's first column."""
     c = _trim_poly(coeff)
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    recurrence = recurrence_arrays(basis, d + 1)
-    e0 = np.zeros((d + 1, 1))
-    e0[0] = 1.0
-    out = np.zeros(length)
-    out[: d + 1] = _poly_in_shift(recurrence, c, e0, d + 1)[:, 0]
-    return out
+    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1))[:, 0]
 
 
 def condition_row(

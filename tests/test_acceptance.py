@@ -44,6 +44,8 @@ from tau_spectra import (
 from tau_spectra.cli import (
     GRID_BESSEL,
     GRID_JACOBI,
+    TABLE1_EPSILON,
+    TABLE1_PAIRS,
     TABLE2_LOWER,
     airy_problem,
     bessel_problem,
@@ -142,6 +144,30 @@ def test_boundary_layer_problem():
     y_500 = solve_tau(airy_problem(legendre, 500, 1e-5))(grid)
     assert np.max(np.abs(y_350 - y_500)) <= 1e-8
     assert time.perf_counter() - start < 120.0
+
+
+def test_airy_table1_against_exact_solution():
+    """table1's problem at degree 1000 against its exact solution
+    c1*Ai(k x) + c2*Bi(k x), k = eps^(-1/3), evaluated at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    start = time.perf_counter()
+    grid = _grid(GRID_JACOBI)[::10]
+    with mpmath.workdps(50):
+        k = mpmath.mpf(TABLE1_EPSILON) ** (-mpmath.mpf(1) / 3)
+        ai_lo, bi_lo = mpmath.airyai(-k), mpmath.airybi(-k)
+        ai_hi, bi_hi = mpmath.airyai(k), mpmath.airybi(k)
+        # Cramer's rule for y(-1) = y(1) = 1: with Ai(k) ~ 1e-92 and
+        # Bi(k) ~ 1e91, mpmath.lu_solve calls this 2x2 system singular.
+        det = ai_lo * bi_hi - bi_lo * ai_hi
+        c1 = (bi_hi - bi_lo) / det
+        c2 = (ai_lo - ai_hi) / det
+        exact = np.array(
+            [float(c1 * mpmath.airyai(k * x) + c2 * mpmath.airybi(k * x)) for x in grid]
+        )
+    for alpha, beta in TABLE1_PAIRS:
+        y = solve_tau(airy_problem(jacobi(alpha, beta), 1000, TABLE1_EPSILON))(grid)
+        assert np.max(np.abs(y - exact)) <= 2e-11, (alpha, beta)
+    assert time.perf_counter() - start < 30.0
 
 
 def test_bessel_convergence():

@@ -91,7 +91,7 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_solution_is_numerical_failure(tmp_path, capsys):
     # coefficients of 1e308 overflow the operator section to inf
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -303,7 +303,8 @@ def _solve_edited(old, new):
 _CONDITION = BASE_CONFIG["conditions"][0]
 
 # Each input once ended in a traceback, an exit 1, a NaN/inf file with exit 0,
-# or an exit code that depended on what first touched a non-finite value.
+# an exit code that depended on what first touched a non-finite value, or
+# numpy warnings ahead of the status line.
 BAD_INPUTS = {
     "three-conditions-at-degree-1": (*_solve(conditions=[_CONDITION] * 3), 2),
     "undecodable-config": (_solve()[0], b"\xff\xfe{", 2),
@@ -330,6 +331,13 @@ BAD_INPUTS = {
     "opmatrix-overflow": (
         ["opmatrix", "--kind", "volterra", "--lower", "1e300", "--size", "8", "-o", "{out}"],
         None,
+        3,
+    ),
+    "condition-deriv-300-at-degree-400": (
+        *_solve(
+            degree=400,
+            conditions=[{"terms": [{"coeff": 1.0, "deriv": 300, "point": 0.5}], "value": 1.0}],
+        ),
         3,
     ),
 }
@@ -359,7 +367,7 @@ OVERSIZED_INPUTS = {
 ALL_BAD_INPUTS = {**BAD_INPUTS, **OVERSIZED_INPUTS}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, config, code", ALL_BAD_INPUTS.values(), ids=ALL_BAD_INPUTS.keys())
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, config, code):
     cfg_path = tmp_path / "problem.json"

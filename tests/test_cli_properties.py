@@ -97,7 +97,7 @@ def config_texts(draw):
     return text
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(text=config_texts())
 def test_any_config_ends_in_documented_exit_code(text):

@@ -1,11 +1,13 @@
 """System assembly, the square Tau solve, and the perturbation tail."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tau_spectra.basis import clenshaw, jacobi, laguerre
+from tau_spectra.basis import clenshaw, eval_basis_derivs, jacobi, laguerre, monomial
 from tau_spectra.linalg import SingularMatrixError
-from tau_spectra.opmatrix import MAX_SECTION_SIZE
+from tau_spectra.opmatrix import MAX_SECTION_SIZE, derivative_matrix
 from tau_spectra.oracles import volterra_exact, volterra_forcing
 from tau_spectra.tau import (
     TauProblem,
@@ -22,6 +24,8 @@ from tau_spectra.tau import (
 )
 
 LEG = jacobi(0.0, 0.0)
+BASES = [LEG, jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre(), monomial()]
+BASE_IDS = [b.label() for b in BASES[:5]] + ["monomial"]
 
 
 def _airy_operator(epsilon):
@@ -90,6 +94,107 @@ def test_assemble_pi_shift():
     assert pi.shape == (3, 2)
     assert np.allclose(pi[:, 0], [0.0, 1.0, 0.0], atol=1e-15)
     assert np.allclose(pi[:, 1], [1 / 3, 0.0, 2 / 3], rtol=1e-15)
+
+
+def _power_section(basis, order, s):
+    """H^order on an s-section: assemble_pi of a lone derivative term."""
+    problem = TauProblem(
+        basis=basis, operator=[derivative_term([1.0], order)], conditions=[], rhs=[0.0],
+        degree=s - 1,
+    )
+    return assemble_pi(problem)
+
+
+@pytest.mark.parametrize("basis", BASES, ids=BASE_IDS)
+def test_derivative_powers_match_repeated_product(basis):
+    # Laguerre and the monomials stay in exact integer arithmetic both ways.
+    s = 300
+    h = derivative_matrix(basis, s)
+    product = h
+    for order in (2, 3):
+        product = h @ product
+        power = _power_section(basis, order, s)
+        if basis.family == "jacobi":
+            assert np.max(np.abs(power - product)) <= 1e-12 * np.max(np.abs(product))
+        else:
+            assert np.array_equal(power, product)
+
+
+@pytest.mark.parametrize("basis", BASES, ids=BASE_IDS)
+def test_derivative_power_columns_are_pointwise_derivatives(basis):
+    s = 12
+    points = (0.5, 2.0, 7.0) if basis.family == "laguerre" else (-0.7, 0.1, 0.9)
+    for order in (1, 2, 3):
+        power = _power_section(basis, order, s)
+        for x in points:
+            table = eval_basis_derivs(basis, s - 1, x, order)
+            scale = max(1.0, float(np.max(np.abs(table[order]))))
+            assert np.max(np.abs(table[0] @ power - table[order])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("basis", BASES, ids=BASE_IDS)
+def test_derivative_power_of_section_size_is_zero(basis):
+    for s in (1, 2, 7, 40):
+        assert not np.any(_power_section(basis, s, s))
+        if s > 1:
+            assert _power_section(basis, s - 1, s)[0, s - 1] != 0.0
+
+
+def test_high_derivative_order_memory_is_bounded():
+    """The table keeps two columns of each lower power, not every power."""
+    problem = TauProblem(
+        basis=laguerre(), operator=[derivative_term([1.0], 250)], conditions=[], rhs=[0.0],
+        degree=300,
+    )
+    s = 301
+    tracemalloc.start()
+    try:
+        assemble_pi(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * s * s * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize(
+    "basis, operator, rtol",
+    [
+        (
+            laguerre(),
+            [
+                derivative_term([0.0, 0.0, 1.0], 2),
+                derivative_term([0.0, 1.0], 1),
+                identity_term([-100.0, 0.0, 1.0]),
+            ],
+            0.0,
+        ),
+        (
+            jacobi(1.0, -0.9),
+            [
+                derivative_term([0.3], 2),
+                volterra_term([0.5, -1.2], lower=-1.0),
+                identity_term([1.5, 0.25, -2.0]),
+            ],
+            1e-14,
+        ),
+    ],
+    ids=["laguerre-bessel", "jacobi-degrees-0-1-2"],
+)
+def test_operator_section_is_sum_of_term_sections(basis, operator, rtol):
+    def section(terms):
+        return assemble_pi(
+            TauProblem(basis=basis, operator=terms, conditions=[], rhs=[0.0], degree=200)
+        )
+
+    full = section(operator)
+    total = np.zeros_like(full)
+    for term in operator:
+        part = section([term])
+        total[: part.shape[0]] += part
+    if rtol == 0.0:
+        assert np.array_equal(full, total)
+    else:
+        assert np.max(np.abs(full - total)) <= rtol * np.max(np.abs(total))
 
 
 def test_project_rhs_examples():
