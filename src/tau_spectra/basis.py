@@ -175,7 +175,8 @@ def eval_basis_derivs(
     out = np.zeros((r + 1, n + 1), dtype=dtype)
     out[0, 0] = 1.0
     for j in range(n):
-        for d in range(r + 1):
+        # nu_{j+1} has degree j+1, so its rows d > j+1 stay exactly zero
+        for d in range(min(r, j + 1) + 1):
             v = (x - beta[j]) * out[d, j]
             if d > 0:
                 v += d * out[d - 1, j]

@@ -17,11 +17,15 @@ differentiating the recurrence d times gives, with H^0 = I and column 0 zero,
                    + d*H^(d-1)[i, j]) / alpha[j],
 
 so one pass over the columns builds every power up to the highest order
-asked for, without a matrix product.  The integral matrix theta is
-back substitution against eta: theta[j+1, j] = alpha[j]/(j+1), then for
-i = j-1 .. 0
-
-    theta[i+1, j] = -(alpha[i]/(i+1)) * sum_{k=i+2}^{j+1} eta[i, k]*theta[k, j].
+asked for, without a matrix product.  The integral matrix theta solves
+eta @ theta = I below row 0; column j has theta[j+1, j] = a_j = alpha[j]/(j+1).
+Jacobi and Laguerre obey the structure relation nu_j = a_j nu_{j+1}' +
+b_j nu_j' + c_j nu_{j-1}' (Hahn 1935, Math. Z. 39; Al-Salam & Chihara 1972,
+SIAM J. Math. Anal. 3), so theta is tridiagonal below row 0 and rows j-1 and
+j-2 of eta @ theta = I give b_j and c_j from three superdiagonals of eta.
+Custom bases, the monomials among them, need not obey it and keep the back
+substitution theta[i+1, j] = -(alpha[i]/(i+1)) * sum_{k=i+2}^{j+1}
+eta[i, k]*theta[k, j], i = j-1 .. 0.
 
 Truncation never corrupts stored entries: integral and Volterra builds run
 the underlying recurrences one index larger internally, so every returned
@@ -102,13 +106,18 @@ def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Antiderivative coefficients with one extra row, shape (s+1, s).
 
     The derivative section is built at size s+1 so the k = j+1 = s entries
-    the last column's back substitution reads exist.
+    the last column reads exist.
     """
     alpha, beta, gamma = recurrence_arrays(basis, s + 2)
     eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
     theta = np.zeros((s + 1, s))
-    for j in range(s):
-        theta[j + 1, j] = alpha[j] / (j + 1)
+    j = np.arange(s)
+    theta[j + 1, j] = a = alpha[:s] / (j + 1)
+    if basis.family != "custom":  # structure relation: tridiagonal below row 0
+        h1, h2, h3 = (np.diagonal(eta, k) for k in (1, 2, 3))
+        theta[j[1:], j[1:]] = b = -a[1:] * h2[: s - 1] / h1[: s - 1]
+        theta[j[1:-1], j[2:]] = -(a[2:] * h3 + b[1:] * h2[: s - 2]) / h1[: s - 2]
+        return theta
     for i in range(s - 2, -1, -1):
         acc = eta[i, i + 2 : s + 1] @ theta[i + 2 : s + 1, :]
         theta[i + 1, i + 1 :] = (-alpha[i] / (i + 1)) * acc[i + 1 :]

@@ -47,6 +47,7 @@ from tau_spectra.cli import (
     TABLE1_EPSILON,
     TABLE1_PAIRS,
     TABLE2_LOWER,
+    TABLE2_PAIRS,
     airy_problem,
     bessel_problem,
     condition_comparison,
@@ -122,6 +123,19 @@ def test_volterra_error_table():
     assert e1000 <= 100.0 * e150
     assert e1000 >= e150 / 100.0
     assert time.perf_counter() - start < 120.0
+
+
+def test_volterra_table2_at_degree_1000():
+    """Every table2 pair at n = 1000 against the exact solution, relative to
+    its sup norm; the error table test above checks only loose bands."""
+    start = time.perf_counter()
+    grid = _grid(GRID_JACOBI)
+    exact = np.array([volterra_exact(TABLE2_LOWER, float(x)) for x in grid])
+    for alpha, beta in TABLE2_PAIRS:
+        y = solve_tau(volterra_problem(jacobi(alpha, beta), 1000, TABLE2_LOWER))(grid)
+        rel = np.max(np.abs(y - exact)) / np.max(np.abs(exact))
+        assert rel <= 1e-11, (alpha, beta, rel)
+    assert time.perf_counter() - start < 30.0
 
 
 def test_boundary_layer_problem():

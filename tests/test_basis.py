@@ -176,6 +176,36 @@ def test_eval_basis_derivative_at_one():
         assert table[1][k] == pytest.approx(k * (k + 1) / 2.0, rel=1e-13, abs=1e-13)
 
 
+def _untrimmed_derivs(basis, n, x, r, dtype):
+    """The derivative recurrence run for every order at every column,
+    rows above each column's degree included."""
+    x = np.dtype(dtype).type(x)
+    alpha, beta, gamma = (arr.astype(dtype) for arr in recurrence_arrays(basis, max(n, 1)))
+    out = np.zeros((r + 1, n + 1), dtype=dtype)
+    out[0, 0] = 1.0
+    for j in range(n):
+        for d in range(r + 1):
+            v = (x - beta[j]) * out[d, j]
+            if d > 0:
+                v += d * out[d - 1, j]
+            if j > 0:
+                v -= gamma[j] * out[d, j - 1]
+            out[d, j + 1] = v / alpha[j]
+    return out
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "longdouble"])
+@pytest.mark.parametrize("basis", [jacobi(0.0, 0.0), laguerre()], ids=["legendre", "laguerre"])
+@pytest.mark.parametrize("n, r", [(60, 20), (60, 60), (60, 90), (200, 200)])
+def test_derivative_table_equals_untrimmed_recurrence(basis, dtype, n, r):
+    # Legendre (200, 200) overflows in float64: inf and NaN entries must match too
+    with np.errstate(all="ignore"):
+        for x in (0.5, 1.0, 37.0):
+            table = eval_basis_derivs(basis, n, x, r, dtype=dtype)
+            assert table.dtype == dtype
+            assert np.array_equal(table, _untrimmed_derivs(basis, n, x, r, dtype), equal_nan=True)
+
+
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
 def test_change_of_basis_matches_exact_rows(basis):
     v = change_of_basis(basis, 25)

@@ -4,7 +4,7 @@ calculus identities, and agreement with the monomial-conversion oracle."""
 import numpy as np
 import pytest
 
-from tau_spectra.basis import clenshaw, jacobi, laguerre, monomial
+from tau_spectra.basis import clenshaw, custom, jacobi, laguerre, monomial, recurrence_arrays
 from tau_spectra.opmatrix import (
     derivative_matrix,
     integral_matrix,
@@ -109,6 +109,32 @@ def test_structure_exact_at_size_300(basis):
     assert np.all(t[0, :] == 0.0)
     # column j reaches no deeper than row j+1
     assert np.all(np.tril(t, -2) == 0.0)
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_classical_integral_matrix_is_tridiagonal(basis):
+    # structure relation nu_j = a_j nu_{j+1}' + b_j nu_j' + c_j nu_{j-1}'
+    t = integral_matrix(basis, 300)
+    assert np.all(np.triu(t, 2) == 0.0)
+
+
+def _as_custom(basis, count):
+    """The same recurrence behind a callback, so the operational matrices
+    take the generic back substitution instead of the structure relation."""
+    alpha, beta, gamma = recurrence_arrays(basis, count)
+    return custom(lambda j: (alpha[j], beta[j], gamma[j]), basis.mu0, basis.interval)
+
+
+@pytest.mark.parametrize("s", [300, 1004])
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_structure_relation_matches_back_substitution(basis, s):
+    generic = _as_custom(basis, s + 2)
+    lower = basis.interval[0]
+    for build, extra in ((integral_matrix, ()), (volterra_matrix, (lower,))):
+        classical = build(basis, s, *extra)
+        reference = build(generic, s, *extra)
+        scale = np.max(np.abs(reference), axis=0)
+        assert np.all(np.abs(classical - reference) <= 1e-12 * scale), build.__name__
 
 
 @pytest.mark.parametrize("basis", WITH_MONOMIAL, ids=WITH_MONOMIAL_IDS)
