@@ -153,26 +153,24 @@ def recurrence_arrays(
     return alpha, beta, gamma
 
 
-def eval_basis_derivs(
-    basis: RecurrenceBasis, n: int, x: float, r: int = 0, dtype=np.float64
-) -> np.ndarray:
-    """Table of nu_k^(d)(x) for k = 0..n, d = 0..r, shape (r+1, n+1).
+def eval_basis_derivs(basis: RecurrenceBasis, n: int, x: float, r: int = 0) -> np.ndarray:
+    """Table of nu_k^(d)(x) for k = 0..n, d = 0..r, shape (r+1, n+1), in
+    np.longdouble.
 
     Built from the recurrence differentiated d times:
         x*nu_j^(d) + d*nu_j^(d-1) = alpha_j*nu_{j+1}^(d) + beta_j*nu_j^(d)
                                     + gamma_j*nu_{j-1}^(d),
-    carried in dtype from the float64 coefficients.  Condition rows of
-    Laguerre problems hold values ~1e13 whose float64 recurrence error alone
-    perturbs the imposed functional by ~1e-7; solves that refine against the
-    accurate functional build this table in np.longdouble.
+    carried in extended precision from the float64 coefficients.  Condition
+    rows of Laguerre problems hold values ~1e13 whose float64 recurrence
+    error alone would perturb the imposed functional by ~1e-7.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if r < 0:
         raise ValueError(f"derivative order must be >= 0, got {r}")
-    x = np.dtype(dtype).type(float(x))
-    alpha, beta, gamma = (arr.astype(dtype) for arr in recurrence_arrays(basis, max(n, 1)))
-    out = np.zeros((r + 1, n + 1), dtype=dtype)
+    x = np.longdouble(float(x))
+    alpha, beta, gamma = (arr.astype(np.longdouble) for arr in recurrence_arrays(basis, max(n, 1)))
+    out = np.zeros((r + 1, n + 1), dtype=np.longdouble)
     out[0, 0] = 1.0
     for j in range(n):
         # nu_{j+1} has degree j+1, so its rows d > j+1 stay exactly zero
@@ -186,22 +184,21 @@ def eval_basis_derivs(
     return out
 
 
-def clenshaw(basis: RecurrenceBasis, coeffs, x, dtype=np.float64):
-    """Evaluate sum_k coeffs[k]*nu_k(x) by backward recurrence in dtype.
+def clenshaw(basis: RecurrenceBasis, coeffs, x):
+    """Evaluate sum_k coeffs[k]*nu_k(x) by backward recurrence in np.longdouble.
 
     x may be a scalar or an ndarray; the float64 result matches its shape.
     Summing a Laguerre series at large x cancels intermediate terms up to
-    ~1e9 times the value, so float64 evaluation is only good to ~1e-7
-    absolute there; TauSolution.__call__ therefore sums its refined
-    longdouble coefficients with dtype=np.longdouble.
+    ~1e9 times the value, so float64 evaluation would only be good to ~1e-7
+    absolute there.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=dtype)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.longdouble)
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a non-empty 1-d array")
     n1 = coeffs.shape[0]
-    alpha, beta, gamma = (arr.astype(dtype) for arr in recurrence_arrays(basis, n1 + 1))
+    alpha, beta, gamma = (arr.astype(np.longdouble) for arr in recurrence_arrays(basis, n1 + 1))
     xs = np.asarray(x, dtype=np.float64)
-    flat = xs.reshape(-1).astype(dtype)
+    flat = xs.reshape(-1).astype(np.longdouble)
     b1 = np.zeros_like(flat)
     b2 = np.zeros_like(flat)
     for k in range(n1 - 1, -1, -1):

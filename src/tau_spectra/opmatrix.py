@@ -136,7 +136,7 @@ def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
     with row 0 replaced so every column vanishes at x = a."""
     _check_size(s, 2)
     theta = _integral_table_ext(basis, s)
-    nu_at_a = eval_basis_derivs(basis, s, float(a))[0]
+    nu_at_a = eval_basis_derivs(basis, s, float(a))[0].astype(np.float64)
     mat = np.ascontiguousarray(theta[:s])
     mat[0, :] = -(nu_at_a[1:] @ theta[1:])
     return mat

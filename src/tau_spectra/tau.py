@@ -52,7 +52,7 @@ _ACTIONS = ("derivative", "identity", "volterra")
 
 
 class NonFiniteSolutionError(ArithmeticError):
-    """The solve produced NaN or infinite coefficients."""
+    """The solve produced NaN or infinite coefficients or condition estimate."""
 
 
 def _trim_poly(coeff) -> np.ndarray:
@@ -194,7 +194,7 @@ class TauSolution:
         return self.coeffs_extended.shape[0] - 1
 
     def __call__(self, x):
-        return clenshaw(self.basis, self.coeffs_extended, x, np.longdouble)
+        return clenshaw(self.basis, self.coeffs_extended, x)
 
 
 def operator_height(terms) -> int:
@@ -257,14 +257,12 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1))[:, 0]
 
 
-def condition_row(
-    cond: ConditionSpec, basis: RecurrenceBasis, n: int, dtype=np.float64
-) -> np.ndarray:
-    """Row of the condition functional applied to (nu_0, ..., nu_n), in dtype."""
-    row = np.zeros(n + 1, dtype=dtype)
+def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:
+    """Row of the condition functional applied to (nu_0, ..., nu_n), in
+    np.longdouble."""
+    row = np.zeros(n + 1, dtype=np.longdouble)
     for term in cond.terms:
-        table = eval_basis_derivs(basis, n, term.point, term.deriv, dtype)
-        row += term.coeff * table[term.deriv]
+        row += term.coeff * eval_basis_derivs(basis, n, term.point, term.deriv)[term.deriv]
     return row
 
 
@@ -278,7 +276,8 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     lets alternative section builders reuse the row selection and solve.
 
     Raises SingularMatrixError on an exactly singular system and
-    NonFiniteSolutionError when the coefficients come out NaN or infinite.
+    NonFiniteSolutionError when the coefficients or the condition estimate
+    come out NaN or infinite.
     """
     n = problem.degree
     m_c = len(problem.conditions)
@@ -288,28 +287,30 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     if m_c > n + 1:
         raise ValueError(f"{m_c} conditions over-constrain degree {n}")
     f_nu = project_rhs(problem.rhs, problem.basis, n + 1 + h)
-    t = np.empty((n + 1, n + 1))
-    b = np.empty(n + 1)
-    for i, cond in enumerate(problem.conditions):
-        t[i] = condition_row(cond, problem.basis, n)
-        b[i] = cond.target
     keep = n + 1 - m_c
+    cond_rows = np.zeros((m_c, n + 1), dtype=np.longdouble)
+    for i, cond in enumerate(problem.conditions):
+        cond_rows[i] = condition_row(cond, problem.basis, n)
+    t = np.empty((n + 1, n + 1))
+    t[:m_c] = cond_rows
     t[m_c:] = pi[:keep]
-    b[m_c:] = f_nu[:keep]
+    b = np.concatenate([[cond.target for cond in problem.conditions], f_nu[:keep]])
+    # Scale each row by the power of two that brings its largest magnitude
+    # into [1, 2): exact in both precisions, and it keeps Laguerre condition
+    # rows (~1e13) from spoiling the factors the refinement contracts with.
+    shift = 1 - np.frexp(np.max(np.abs(t), axis=1))[1]
+    np.ldexp(t, shift[:, None], out=t)
+    np.ldexp(b, shift, out=b)
+    cond_rows = np.ldexp(cond_rows, shift[:m_c, None])
     norm1 = float(np.max(np.sum(np.abs(t), axis=0)))
     factors = lu_factor(t)
-    coeffs = lu_solve_factored(factors, b)
-    cond_rows = [
-        condition_row(cond, problem.basis, n, np.longdouble) for cond in problem.conditions
-    ]
-    coeffs_ext = _refine(t, b, factors, coeffs, cond_rows)
+    coeffs_ext = _refine(t, b, factors, lu_solve_factored(factors, b), cond_rows)
     if not np.all(np.isfinite(coeffs_ext)):
         raise NonFiniteSolutionError("solution coefficients are not finite")
-    diags = Diagnostics(
-        cond_estimate=cond_estimate_factored(factors, norm1),
-        growth=factors.growth,
-        height=h,
-    )
+    cond_estimate = cond_estimate_factored(factors, norm1)
+    if not math.isfinite(cond_estimate):
+        raise NonFiniteSolutionError("condition estimate is not finite")
+    diags = Diagnostics(cond_estimate=cond_estimate, growth=factors.growth, height=h)
     return TauSolution(
         basis=problem.basis,
         diagnostics=diags,
@@ -319,21 +320,21 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
 
 
 def _refine(
-    t: np.ndarray, b: np.ndarray, factors, coeffs: np.ndarray, cond_rows
+    t: np.ndarray, b: np.ndarray, factors, coeffs: np.ndarray, cond_rows: np.ndarray
 ) -> np.ndarray:
     """Iterative refinement with the residual taken in extended precision.
 
-    Boundary rows of Laguerre problems reach 1-norms ~1e13, which drives the
-    condition estimate past 1/eps; the raw LU forward error is then visible
-    in the solution even though every row residual is tiny.  A few corrected
-    steps recover the accuracy.  The condition rows are replaced by their
-    extended-precision recomputation so the fixed point satisfies the
-    accurate functionals, not their float64 images.  Cheap (one matvec and
-    one substitution per step) and a near no-op for well-conditioned systems.
+    The raw LU forward error of a Laguerre system is visible in the solution
+    even though every row residual is tiny; a few corrected steps recover
+    the accuracy, provided the float64 factors contract the error, which
+    unscaled Laguerre condition rows prevent.  The condition rows are their
+    extended-precision values, scaled like t, so the fixed point satisfies
+    the accurate functionals, not their float64 images.  Cheap (one matvec
+    and one substitution per step) and a near no-op for well-conditioned
+    systems.
     """
     t_ext = t.astype(np.longdouble)
-    for i, row in enumerate(cond_rows):
-        t_ext[i] = row
+    t_ext[: cond_rows.shape[0]] = cond_rows
     b_ext = b.astype(np.longdouble)
     a_ext = coeffs.astype(np.longdouble)
     last = math.inf

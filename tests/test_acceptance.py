@@ -190,19 +190,16 @@ def test_bessel_convergence():
     norm = bessel_j(10, 60.0)
     reference = np.array([bessel_j(10, float(x)) / norm for x in grid])
 
-    sup_errors = []
-    for n in (500, 1000, 1500, 2000):
+    # Converged solves sit at 7e-11 .. 4e-10 at every degree, not monotone in
+    # n; a refinement that stalls reads 1e-6 .. 33 here.
+    for n in (150, 200, 300, 500, 1000, 1500, 2000):
         sol = solve_tau(bessel_problem(10, n))
         ys = sol(grid)
         left = sol(np.array([0.0]))[0]
         right = sol(np.array([60.0]))[0]
         assert abs(left) <= 1e-8
         assert abs(right - 1.0) <= 1e-8
-        sup_errors.append(float(np.max(np.abs(ys - reference))))
-
-    for worse, better in zip(sup_errors, sup_errors[1:]):
-        assert better <= worse
-    assert sup_errors[-1] <= 5e-2
+        assert float(np.max(np.abs(ys - reference))) <= 1e-9, n
     assert time.perf_counter() - start < 600.0
 
 

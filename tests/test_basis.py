@@ -20,7 +20,6 @@ from tau_spectra.basis import (
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]
 IDS = [b.label() for b in BASES]
-DTYPES = (np.float64, np.longdouble)
 
 
 def _sample_points(basis, count=21):
@@ -103,18 +102,17 @@ def test_jacobi_rejects_invalid_exponents():
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
 def test_three_term_identity(basis):
     xs = _sample_points(basis)
-    for dtype in DTYPES:
-        for j in range(41):
-            al, be, ga = _coeffs(basis, j)
-            for x in xs:
-                table = eval_basis_derivs(basis, j + 1, x, dtype=dtype)
-                assert table.dtype == dtype
-                vals = table[0]
-                lhs = x * vals[j]
-                rhs = al * vals[j + 1] + be * vals[j]
-                if j >= 1:
-                    rhs += ga * vals[j - 1]
-                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (dtype, j, x)
+    for j in range(41):
+        al, be, ga = _coeffs(basis, j)
+        for x in xs:
+            table = eval_basis_derivs(basis, j + 1, x)
+            assert table.dtype == np.longdouble
+            vals = table[0]
+            lhs = x * vals[j]
+            rhs = al * vals[j + 1] + be * vals[j]
+            if j >= 1:
+                rhs += ga * vals[j - 1]
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (j, x)
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
@@ -145,8 +143,8 @@ def test_clenshaw_extended_agrees_with_double(basis):
     rng = np.random.default_rng(22)
     coeffs = rng.uniform(-1.0, 1.0, 30)
     xs = _sample_points(basis, 9)
-    plain = clenshaw(basis, coeffs, xs)
-    extended = clenshaw(basis, coeffs, xs, np.longdouble)
+    plain = np.array([coeffs @ _forward_values(basis, 29, x) for x in xs])
+    extended = clenshaw(basis, coeffs, xs)
     assert extended.dtype == np.float64
     scale = np.max(np.abs(plain)) + 1.0
     assert np.max(np.abs(plain - extended)) <= 1e-11 * scale
@@ -194,16 +192,14 @@ def _untrimmed_derivs(basis, n, x, r, dtype):
     return out
 
 
-@pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "longdouble"])
+@pytest.mark.parametrize("dtype", [np.longdouble], ids=["longdouble"])
 @pytest.mark.parametrize("basis", [jacobi(0.0, 0.0), laguerre()], ids=["legendre", "laguerre"])
 @pytest.mark.parametrize("n, r", [(60, 20), (60, 60), (60, 90), (200, 200)])
 def test_derivative_table_equals_untrimmed_recurrence(basis, dtype, n, r):
-    # Legendre (200, 200) overflows in float64: inf and NaN entries must match too
-    with np.errstate(all="ignore"):
-        for x in (0.5, 1.0, 37.0):
-            table = eval_basis_derivs(basis, n, x, r, dtype=dtype)
-            assert table.dtype == dtype
-            assert np.array_equal(table, _untrimmed_derivs(basis, n, x, r, dtype), equal_nan=True)
+    for x in (0.5, 1.0, 37.0):
+        table = eval_basis_derivs(basis, n, x, r)
+        assert table.dtype == dtype
+        assert np.array_equal(table, _untrimmed_derivs(basis, n, x, r, dtype))
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)

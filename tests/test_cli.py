@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tau_spectra import cli
+from tau_spectra import cli, tau
 from tau_spectra.cli import main
 from tau_spectra.tau import NonFiniteSolutionError, solve_tau
 
@@ -108,6 +108,17 @@ def test_non_finite_solution_is_numerical_failure(tmp_path, capsys):
     out_path = tmp_path / "out.csv"
     assert main(["solve", cfg_path, "-o", str(out_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_non_finite_condition_estimate_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tau, "cond_estimate_factored", lambda factors, norm1: float("inf"))
+    cfg_path = _write_config(tmp_path, BASE_CONFIG)
+    out_path = tmp_path / "out.csv"
+    assert main(["solve", cfg_path, "-o", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure: condition estimate is not finite" in captured.err
+    assert "cond estimate" not in captured.out
     assert not out_path.exists()
 
 
