@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -70,7 +71,7 @@ TABLE2_DEGREES = (50, 100, 150, 1000)
 TABLE2_LOWER = 1.25
 
 # Most points a config grid may ask for; each costs a Clenshaw sum and,
-# with a reference, a Python-level reference evaluation.
+# with a volterra_exact reference, a Python-level reference evaluation.
 MAX_GRID_COUNT = 100_000
 
 
@@ -174,6 +175,21 @@ CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
+def _config_validator():
+    """Validator for CONFIG_SCHEMA, the schema itself checked once per process."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
+def _validate_config(cfg: dict) -> None:
+    """Raise the ValidationError that jsonschema.validate would raise."""
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise error
+
+
 def _status(msg: str) -> None:
     print(f"tau-spectra: {msg}", file=sys.stderr)
 
@@ -201,7 +217,8 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     NonFiniteSolutionError, writing nothing, if any value is NaN or infinite."""
     if not all(np.all(np.isfinite(col)) for col in columns):
         raise NonFiniteSolutionError(f"output for {path} has non-finite values")
-    rows = (",".join(_fmt(float(v)) for v in vals) for vals in zip(*columns))
+    row = ",".join(["%.17g"] * len(columns))
+    rows = (row % vals for vals in zip(*(col.tolist() for col in columns)))
     _write_lines(path, [",".join(header), *rows])
 
 
@@ -248,7 +265,8 @@ def _conditions_from_config(items: list[dict]) -> list[ConditionSpec]:
 
 
 def _reference_from_config(spec: dict | None):
-    """Resolve the optional reference block to (callable or None, label)."""
+    """Resolve the optional reference block to (callable or None, label); the
+    callable maps the grid array to the reference values on it."""
     if spec is None or spec["kind"] == "none":
         return None, ""
     kind = spec["kind"]
@@ -257,7 +275,10 @@ def _reference_from_config(spec: dict | None):
         if "a" not in params:
             raise ConfigError("volterra_exact reference requires params.a")
         a = float(params["a"])
-        return (lambda x: volterra_exact(a, x)), "volterra_exact"
+        # Point by point: a closed form through np.exp would differ from
+        # math.exp in the last bits.
+        per_point = lambda grid: np.array([volterra_exact(a, x) for x in grid.tolist()])
+        return per_point, "volterra_exact"
     if kind == "bessel":
         if "m" not in params:
             raise ConfigError("bessel reference requires params.m")
@@ -294,7 +315,7 @@ def _problem_from_config(cfg: dict):
 def cmd_solve(args: argparse.Namespace) -> None:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-    jsonschema.validate(cfg, CONFIG_SCHEMA)
+    _validate_config(cfg)
     problem, grid, ref, _ = _problem_from_config(cfg)
     solution = solve_tau(problem)
 
@@ -302,7 +323,7 @@ def cmd_solve(args: argparse.Namespace) -> None:
     header = ["x", "y_n"]
     columns = [grid, ys]
     if ref is not None:
-        refs = np.array([float(ref(float(x))) for x in grid])
+        refs = ref(grid)
         header += ["reference", "error"]
         columns += [refs, np.abs(ys - refs)]
 
@@ -406,7 +427,7 @@ def cmd_bessel(args: argparse.Namespace) -> None:
     scale = bessel_j(args.m, 60.0)
     if scale == 0.0:
         raise ConfigError("J_m(60) vanishes, normalization impossible")
-    refs = np.array([bessel_j(args.m, float(x)) / scale for x in grid])
+    refs = bessel_j(args.m, grid) / scale
     os.makedirs(args.output, exist_ok=True)
 
     for n, problem in zip(degrees, problems):

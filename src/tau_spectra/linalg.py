@@ -66,7 +66,7 @@ def lu_factor(a) -> LUFactors:
     """Factor a copy of a; raises SingularMatrixError on an exactly zero pivot."""
     a = _as_square(a)
     work = np.array(a, dtype=np.float64, order="C", copy=True)
-    maxa = float(np.max(np.abs(work)))
+    maxa = float(np.maximum(work.max(), -work.min()))  # max|A|, no n x n temporary
     n = work.shape[0]
     piv = np.zeros(n, dtype=np.int64)
     for k in range(n):
@@ -84,7 +84,8 @@ def lu_factor(a) -> LUFactors:
         if nonzero.size:
             end = k + 2 + int(nonzero[-1])
             work[k + 1 : end, k + 1 :] -= np.outer(work[k + 1 : end, k], work[k, k + 1 :])
-    maxu = float(np.max(np.abs(np.triu(work))))
+    # max|U| over blocks of 64 rows, so no temporary is n x n
+    maxu = float(np.max([np.max(np.abs(np.triu(work[i : i + 64], i))) for i in range(0, n, 64)]))
     growth = maxu / maxa if maxa > 0.0 else 1.0
     return LUFactors(lu=work, piv=piv, growth=growth)
 

@@ -104,7 +104,20 @@ def power_oracle_column(
 _MILLER_MAX_START = 100_000
 
 
-def bessel_j(m: int, x: float) -> float:
+def _miller_start(m: int, x: float) -> int:
+    """Even start index of Miller's recurrence for J_m(x), 0 for x = 0;
+    raises ValueError for a negative x or more than _MILLER_MAX_START steps."""
+    if x < 0.0:
+        raise ValueError(f"argument must be >= 0, got {x}")
+    if x == 0.0:
+        return 0
+    start = m + 25 + int(math.ceil(1.5 * x))
+    if start > _MILLER_MAX_START:
+        raise ValueError(f"J_{m}({x}) needs {start} recurrence steps, over {_MILLER_MAX_START}")
+    return start + start % 2
+
+
+def bessel_j(m: int, x):
     """Bessel function of the first kind by Miller's downward recurrence.
 
     Runs J_{k-1} = (2k/x) J_k - J_{k+1} downward from a start index far into
@@ -112,38 +125,45 @@ def bessel_j(m: int, x: float) -> float:
     keeps full relative accuracy for the minimal solution.  The recurrence
     takes about m + 1.5x steps, so orders and arguments needing more than
     _MILLER_MAX_START of them are rejected instead of running unbounded.
+
+    x is a float, giving a float, or an array, giving an array of its shape.
+    All points share one downward loop; each joins it at its own start index
+    and sees exactly the operations a lone point would, so every array value
+    equals the per-point value bitwise.
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    start = m + 25 + int(math.ceil(1.5 * x))
-    if start > _MILLER_MAX_START:
-        raise ValueError(f"J_{m}({x}) needs {start} recurrence steps, over {_MILLER_MAX_START}")
-    if start % 2 == 1:
-        start += 1
-    fkp1 = 0.0
-    fk = 1e-30
-    even_sum = fk if start % 2 == 0 else 0.0
-    target = math.nan
-    for k in range(start, 0, -1):
-        fkm1 = (2.0 * k / x) * fk - fkp1
-        fkp1 = fk
-        fk = fkm1
-        idx = k - 1
-        if idx == m:
-            target = fk
-        if idx > 0 and idx % 2 == 0:
-            even_sum += fk
-        if abs(fk) > 1e250:
-            fk *= 1e-250
-            fkp1 *= 1e-250
-            even_sum *= 1e-250
-            target *= 1e-250
-    return target / (fk + 2.0 * even_sum)
+    xs = np.asarray(x, dtype=np.float64)
+    starts = np.array([_miller_start(m, v) for v in xs.ravel().tolist()], dtype=np.int64)
+    starts = starts.reshape(xs.shape)
+    joins = set(starts.ravel().tolist())
+    # A point's state stays exactly zero until the step at its own start
+    # index, where fk takes 1e-30: the recurrence keeps zero at zero, with
+    # x = 1 standing in until then so a tiny x cannot make inf * 0, and a
+    # rescale of other points multiplies it by an exact 1.0.  [()] turns a
+    # 0-d array into a numpy scalar, so a float argument runs on scalar
+    # arithmetic.
+    fk = fkp1 = np.zeros(xs.shape)[()]
+    even_sum = np.full(xs.shape, 1e-30)[()]
+    target = np.full(xs.shape, math.nan)[()]
+    # Overflow and NaN run on silently, as they do in Python float arithmetic.
+    with np.errstate(all="ignore"):
+        for k in range(int(starts.max(initial=0)), 0, -1):
+            if k in joins:
+                xk = np.where(starts >= k, xs, 1.0)[()]
+                fk = np.where(starts == k, 1e-30, fk)[()]
+            fk, fkp1 = (2.0 * k / xk) * fk - fkp1, fk
+            idx = k - 1
+            if idx == m:
+                target = fk
+            if idx > 0 and idx % 2 == 0:
+                even_sum = even_sum + fk
+            big = abs(fk) > 1e250
+            if np.count_nonzero(big):
+                scale = np.where(big, 1e-250, 1.0)[()]
+                fk, fkp1, even_sum, target = fk * scale, fkp1 * scale, even_sum * scale, target * scale
+        values = np.where(starts > 0, target / (fk + 2.0 * even_sum), 1.0 if m == 0 else 0.0)
+    return float(values) if values.ndim == 0 else values
 
 
 def bessel_j_series(m: int, x: float) -> float:
@@ -230,9 +250,15 @@ def _airy_series_coeffs(epsilon: float) -> np.ndarray:
     return a * y1 + b * y2
 
 
-def airy_bvp_reference(epsilon: float, x: float, deriv: int = 0) -> float:
+def airy_bvp_reference(epsilon: float, x, deriv: int = 0):
     """Reference solution of eps*y'' - x*y = 0 with y(-1) = y(1) = 1,
-    evaluated at x (optionally a derivative), via boundary-fitted series."""
+    evaluated at x (optionally a derivative), via boundary-fitted series.
+
+    x is a float, giving a float, or an array, giving an array of its shape.
+    One Horner loop over the series coefficients serves every point, with
+    the per-point operations, so every array value equals the per-point
+    value bitwise.
+    """
     epsilon = float(epsilon)
     if not epsilon >= _AIRY_EPS_MIN:
         raise ValueError(f"epsilon must be >= {_AIRY_EPS_MIN} for a trustworthy series")
@@ -242,8 +268,9 @@ def airy_bvp_reference(epsilon: float, x: float, deriv: int = 0) -> float:
     for _ in range(deriv):
         c = c[1:] * np.arange(1.0, c.shape[0])
         if c.shape[0] == 0:
-            return 0.0
-    acc = 0.0
+            break
+    xs = np.asarray(x, dtype=np.float64)[()]
+    acc = np.zeros(xs.shape)[()]
     for v in c[::-1]:
-        acc = acc * float(x) + v
-    return acc
+        acc = acc * xs + v
+    return float(acc) if xs.ndim == 0 else acc

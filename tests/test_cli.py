@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: config validation, CSV output, exit codes."""
 
+import copy
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -134,6 +136,67 @@ def test_non_finite_solution_fails_table_cell_and_bessel(tmp_path, monkeypatch, 
     assert _read_csv(out_path)[1] == [["0", "0", "FAIL"]]
     assert main(["bessel", "--degrees", "100", "-o", str(tmp_path / "fig")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
+    validator_class = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    check_schema = validator_class.check_schema
+    checked = []
+
+    def counting_check_schema(schema, **kwargs):
+        checked.append(schema)
+        return check_schema(schema, **kwargs)
+
+    monkeypatch.setattr(validator_class, "check_schema", counting_check_schema)
+    cfg_path = _write_config(tmp_path, BASE_CONFIG)
+    for name in ("a.csv", "b.csv"):
+        assert main(["solve", cfg_path, "-o", str(tmp_path / name)]) == 0
+    assert len(checked) <= 1
+
+
+def _violating(edit):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    edit(cfg)
+    return cfg
+
+
+SCHEMA_VIOLATIONS = {
+    "unknown-key": _violating(lambda c: c.update(foo=1)),
+    "nested-unknown-key": _violating(lambda c: c["operator"][0].update(extra=True)),
+    "missing-grid": _violating(lambda c: c.pop("grid")),
+    "count-below-minimum": _violating(lambda c: c["grid"].update(count=1)),
+    "count-above-maximum": _violating(lambda c: c["grid"].update(count=cli.MAX_GRID_COUNT + 1)),
+    "unknown-family": _violating(lambda c: c["basis"].update(family="hermite")),
+    "degree-not-integer": _violating(lambda c: c.update(degree="x")),
+    "empty-operator": _violating(lambda c: c.update(operator=[])),
+    "negative-deriv": _violating(lambda c: c["conditions"][0]["terms"][0].update(deriv=-1)),
+    "unknown-reference": _violating(lambda c: c.update(reference={"kind": "hankel"})),
+    "several-errors": _violating(
+        lambda c: (c.update(degree=-1), c["grid"].update(count=1), c.pop("rhs"))
+    ),
+    "not-an-object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("cfg", SCHEMA_VIOLATIONS.values(), ids=SCHEMA_VIOLATIONS.keys())
+def test_schema_violation_reports_what_validate_raises(tmp_path, capsys, cfg):
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    cfg_path = _write_config(tmp_path, cfg)
+    assert main(["solve", cfg_path, "-o", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"tau-spectra: config error: {raised.value.message}\n"
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    columns = [
+        np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1.0 / 3]),
+        np.array([3.0, -2.0, 2.0**53, 1e16, 0.0]),
+        np.array([0, 1, 7, 4095, -3]),
+    ]
+    path = tmp_path / "values.csv"
+    cli._write_csv(str(path), ["a", "b", "c"], columns)
+    rows = ["a,b,c"] + [",".join("%.17g" % float(v) for v in vals) for vals in zip(*columns)]
+    assert path.read_bytes() == "".join(row + "\n" for row in rows).encode()
 
 
 def test_jacobi_requires_exponents(tmp_path):

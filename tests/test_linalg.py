@@ -104,6 +104,18 @@ def test_band_limited_update_matches_full_update():
     assert factors.lu.tobytes() == full.tobytes()
 
 
+def test_growth_is_largest_u_entry_over_largest_a_entry():
+    rng = np.random.default_rng(40)
+    graded = [rng.standard_normal((n, n)) * np.exp(rng.uniform(-30.0, 30.0, (n, 1))) for n in (1, 7, 60, 150)]
+    # U's largest entry on its diagonal, in the first row
+    dominant = np.diag(np.arange(7.0, 0.0, -1.0)) + 0.01 * rng.standard_normal((7, 7))
+    # every entry of U far below the unit multipliers of L
+    small = 1e-3 * rng.standard_normal((150, 150))
+    for a in (*graded, dominant, small):
+        factors = lu_factor(a)
+        assert factors.growth == np.max(np.abs(np.triu(factors.lu))) / np.max(np.abs(a))
+
+
 def test_triangular_solves():
     rng = np.random.default_rng(36)
     size = 15

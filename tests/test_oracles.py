@@ -9,6 +9,7 @@ import pytest
 
 from tau_spectra.basis import jacobi, laguerre
 from tau_spectra.oracles import (
+    _airy_series_coeffs,
     airy_bvp_reference,
     bessel_j,
     bessel_j_series,
@@ -81,6 +82,74 @@ def test_bessel_matches_mpmath_on_grid(m):
         ref = np.array([float(mpmath.besselj(m, mpmath.mpf(float(x)))) for x in grid])
     ours = np.array([bessel_j(m, float(x)) for x in grid])
     assert np.max(np.abs(ours - ref)) <= 1e-14
+
+
+def _miller_per_point(m, x):
+    """Miller's recurrence for one point, as a scalar Python loop; returns
+    J_m(x) and whether the 1e250 rescale fired."""
+    if x == 0.0:
+        return (1.0 if m == 0 else 0.0), False
+    start = m + 25 + int(math.ceil(1.5 * x))
+    start += start % 2
+    fkp1, fk, even_sum, target, rescaled = 0.0, 1e-30, 1e-30, math.nan, False
+    for k in range(start, 0, -1):
+        fkp1, fk = fk, (2.0 * k / x) * fk - fkp1
+        if k - 1 == m:
+            target = fk
+        if k - 1 > 0 and (k - 1) % 2 == 0:
+            even_sum += fk
+        if abs(fk) > 1e250:
+            fk, fkp1, even_sum, target = fk * 1e-250, fkp1 * 1e-250, even_sum * 1e-250, target * 1e-250
+            rescaled = True
+    return target / (fk + 2.0 * even_sum), rescaled
+
+
+@pytest.mark.parametrize("m", [0, 1, 10, 100])
+def test_bessel_array_equals_per_point_bitwise(m):
+    # shuffled, so points with different start indices interleave; the small
+    # arguments make the rescale fire at different steps
+    points = np.r_[0.0, 1e-8, 0.5, np.geomspace(1e-12, 1.0, 16), np.linspace(0.0, 60.0, 241)]
+    grid = np.random.default_rng(m).permutation(points)
+    expected = {x: _miller_per_point(m, x) for x in grid.tolist()}
+    want = np.array([expected[x][0] for x in grid.tolist()])
+    assert bessel_j(m, grid).tobytes() == want.tobytes()
+    assert bessel_j(m, grid.reshape(4, 65)).tobytes() == want.tobytes()
+    assert np.array([bessel_j(m, x) for x in grid.tolist()]).tobytes() == want.tobytes()
+    rescaled = {x for x, (_, fired) in expected.items() if fired}
+    if m == 100:
+        assert {1e-8, 0.5} <= rescaled
+    if m == 10:
+        assert 1e-8 in rescaled
+
+
+@pytest.mark.parametrize("deriv", [0, 2])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3, 2e-3, 1e-3])
+def test_airy_array_equals_per_point_bitwise(eps, deriv):
+    c = _airy_series_coeffs(eps)
+    for _ in range(deriv):
+        c = c[1:] * np.arange(1.0, c.shape[0])
+    grid = np.linspace(-1.0, 1.0, 401)
+
+    def horner(x):
+        acc = 0.0
+        for v in c[::-1]:
+            acc = acc * x + v
+        return acc
+
+    want = np.array([horner(x) for x in grid.tolist()])
+    assert airy_bvp_reference(eps, grid, deriv).tobytes() == want.tobytes()
+    per_point = [airy_bvp_reference(eps, x, deriv) for x in grid.tolist()]
+    assert np.array(per_point).tobytes() == want.tobytes()
+
+
+def test_float_argument_returns_python_float():
+    for value in (
+        bessel_j(1, 0.5),
+        bessel_j(0, 0.0),
+        airy_bvp_reference(1e-2, 0.25),
+        airy_bvp_reference(1e-2, 0.25, deriv=10_000),
+    ):
+        assert type(value) is float
 
 
 def test_volterra_exact_closed_forms():
