@@ -9,11 +9,25 @@ the diagonal and column k holds the multipliers of L below it, so P A = L U
 with the unit diagonal of L implied.  Substitution walks the same packed
 array: forward with L then backward with U for A x = b, and forward with U^T
 then backward with L^T (undoing the row swaps last) for A^T x = b.
+
+These four triangular solves run one blocked kernel (Golub & Van Loan,
+Matrix Computations, section 3.1): per block of _BLOCK rows, one BLAS GEMV
+subtracts the part of the solution already known, and np.linalg.solve
+solves the diagonal block, so a few dozen Python steps replace n of them.
+Every diagonal block goes to LAPACK upper triangular (a lower one with its
+rows and columns reversed).  Each column of such a block is zero below the
+diagonal, so getrf takes the diagonal entry as the pivot, forms zero
+multipliers and leaves the block as its own U; getrs then solves with an
+identity L and runs plain back substitution with that U.
+
+solve_upper_triangular keeps its per-row loop.  It serves only the
+change-of-basis comparison route, whose low-degree agreement test sits
+within roundoff of its bound, so that route keeps its exact rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,18 +51,36 @@ class SingularMatrixError(ArithmeticError):
         self.pivot_index = pivot_index
 
 
+_BLOCK = 64  # rows per diagonal block of the blocked substitutions
+
+
 @dataclass
 class LUFactors:
     """Packed LU of a row permutation of A: P A = L U.
 
     lu holds L strictly below the diagonal (unit diagonal implied) and U on
     and above it; piv[k] is the row swapped into position k; growth is
-    max|U| / max|A|, the standard element-growth measure.
+    max|U| / max|A|, the standard element-growth measure.  The permutation
+    as one index array and the diagonal blocks of L and U, which every
+    substitution reuses, are derived once here.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     growth: float
+    perm: np.ndarray = field(init=False, repr=False)
+    lower_blocks: list = field(init=False, repr=False)
+    upper_blocks: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.lu.shape[0]
+        perm = list(range(n))
+        for k, p in enumerate(self.piv.tolist()):
+            perm[k], perm[p] = perm[p], perm[k]
+        self.perm = np.array(perm, dtype=np.int64)
+        diag = [self.lu[k : k + _BLOCK, k : k + _BLOCK] for k in range(0, n, _BLOCK)]
+        self.lower_blocks = [np.tril(d, -1) + np.eye(d.shape[0]) for d in diag]
+        self.upper_blocks = [np.triu(d) for d in diag]
 
     @property
     def size(self) -> int:
@@ -90,38 +122,63 @@ def lu_factor(a) -> LUFactors:
     return LUFactors(lu=work, piv=piv, growth=growth)
 
 
-def lu_solve_factored(factors: LUFactors, b) -> np.ndarray:
-    """Solve A x = b given factors of A."""
+def _substitute(a: np.ndarray, blocks, x: np.ndarray, upper: bool) -> np.ndarray:
+    """Overwrite x (a vector or columns) with T^{-1} x, T the upper (lower)
+    triangle of a, whose diagonal blocks of _BLOCK rows are blocks.
+
+    Block by block in the order substitution visits them: one GEMV (GEMM for
+    columns) subtracts the part already solved, then LAPACK solves the
+    diagonal block.  A lower block is solved with its rows and columns
+    reversed, which makes it upper triangular.  Raises SingularMatrixError
+    at the first zero diagonal entry substitution would divide by.
+    """
+    n = a.shape[0]
+    starts = range(0, n, _BLOCK)
+    for k0, blk in reversed(list(zip(starts, blocks))) if upper else zip(starts, blocks):
+        k1 = k0 + blk.shape[0]
+        if upper and k1 < n:
+            x[k0:k1] -= a[k0:k1, k1:] @ x[k1:]
+        elif not upper and k0 > 0:
+            x[k0:k1] -= a[k0:k1, :k0] @ x[:k0]
+        if not upper:
+            blk = blk[::-1, ::-1]
+        zero = np.flatnonzero(np.diagonal(blk) == 0.0)
+        if zero.size:
+            raise SingularMatrixError(k0 + int(zero[-1]) if upper else k1 - 1 - int(zero[-1]))
+        rhs = x[k0:k1] if upper else x[k0:k1][::-1]
+        try:
+            sol = np.linalg.solve(blk, rhs)
+        except np.linalg.LinAlgError:
+            # only NaN can steer the pivot search off the nonzero diagonal
+            sol = np.full(rhs.shape, np.nan)
+        x[k0:k1] = sol if upper else sol[::-1]
+    return x
+
+
+def _rhs_copy(factors: LUFactors, b) -> np.ndarray:
     x = np.array(b, dtype=np.float64, copy=True)
     if x.shape != (factors.size,):
         raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
-    lu, n = factors.lu, factors.size
-    for k in range(n):
-        p = factors.piv[k]
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
     return x
+
+
+def lu_solve_factored(factors: LUFactors, b) -> np.ndarray:
+    """Solve A x = b given factors of A: L then U."""
+    x = _rhs_copy(factors, b)[factors.perm]
+    _substitute(factors.lu, factors.lower_blocks, x, upper=False)
+    return _substitute(factors.lu, factors.upper_blocks, x, upper=True)
 
 
 def lu_solve_transposed(factors: LUFactors, b) -> np.ndarray:
-    """Solve A^T x = b from the factors of A (no refactorization)."""
-    x = np.array(b, dtype=np.float64, copy=True)
-    if x.shape != (factors.size,):
-        raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
-    lu, n = factors.lu, factors.size
-    for i in range(n):
-        x[i] = (x[i] - lu[:i, i] @ x[:i]) / lu[i, i]
-    for i in range(n - 2, -1, -1):
-        x[i] -= lu[i + 1 :, i] @ x[i + 1 :]
-    for k in range(n - 1, -1, -1):
-        p = factors.piv[k]
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-    return x
+    """Solve A^T x = b from the factors of A (no refactorization): U^T, then
+    L^T, then the row swaps undone."""
+    x = _rhs_copy(factors, b)
+    lu_t = factors.lu.T
+    _substitute(lu_t, [u.T for u in factors.upper_blocks], x, upper=False)
+    _substitute(lu_t, [l.T for l in factors.lower_blocks], x, upper=True)
+    out = np.empty_like(x)
+    out[factors.perm] = x
+    return out
 
 
 def solve_upper_triangular(u, b) -> np.ndarray:

@@ -17,12 +17,17 @@ differentiating the recurrence d times gives, with H^0 = I and column 0 zero,
                    + d*H^(d-1)[i, j]) / alpha[j],
 
 so one pass over the columns builds every power up to the highest order
-asked for, without a matrix product.  The integral matrix theta solves
-eta @ theta = I below row 0; column j has theta[j+1, j] = a_j = alpha[j]/(j+1).
+asked for, without a matrix product.  Offset d = j+1-i reads only offsets
+<= d of column j, so the first few superdiagonals close on themselves and
+cost O(s).
+
+The integral matrix theta solves eta @ theta = I below row 0; column j has
+theta[j+1, j] = a_j = alpha[j]/(j+1).
 Jacobi and Laguerre obey the structure relation nu_j = a_j nu_{j+1}' +
 b_j nu_j' + c_j nu_{j-1}' (Hahn 1935, Math. Z. 39; Al-Salam & Chihara 1972,
 SIAM J. Math. Anal. 3), so theta is tridiagonal below row 0 and rows j-1 and
-j-2 of eta @ theta = I give b_j and c_j from three superdiagonals of eta.
+j-2 of eta @ theta = I give b_j and c_j from three superdiagonals of eta,
+which are built alone, in O(s).
 Custom bases, the monomials among them, need not obey it and keep the back
 substitution theta[i+1, j] = -(alpha[i]/(i+1)) * sum_{k=i+2}^{j+1}
 eta[i, k]*theta[k, j], i = j-1 .. 0.
@@ -76,9 +81,11 @@ def shift_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
 
 def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, np.ndarray]:
     """{d: H^d} on an s-section for each requested order d >= 1.  Column d-1
-    of t (w) holds column j (j-1) of H^d: O(r s) memory beyond the sections."""
+    of t (w) holds column j (j-1) of H^d: O(r s) memory beyond the sections.
+    The sections are stored column-major, so writing a column is one
+    contiguous copy."""
     r = max(orders)
-    powers = {d: np.zeros((s, s)) for d in orders}
+    powers = {d: np.zeros((s, s), order="F") for d in orders}
     t, w = np.zeros((2, s, r))
     scale = np.arange(2.0, r + 1.0)
     for j in range(s - 1):
@@ -102,22 +109,50 @@ def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1]
 
 
+def _derivative_superdiagonals(alpha, beta, gamma, s: int) -> tuple[np.ndarray, ...]:
+    """Superdiagonals 1, 2 and 3 of H on an s-section, in O(s).
+
+    Entry H[i, j+1] at offset d = j+1-i reads offsets <= d of column j, so
+    the order-1 column recurrence closes on the first three offsets.  Each
+    entry takes the operations _derivative_table applies to it, exact zeros
+    included, so all three equal np.diagonal(H, d) bit for bit.
+    """
+    al, be, ga = alpha.tolist(), beta.tolist(), gamma.tolist()
+    h = [[], [], [], []]  # h[d][i] = H[i, i+d]; the diagonal (d = 0) is zero
+
+    def entry(d: int, i: int) -> float:
+        return h[d][i] if d >= 1 else 0.0
+
+    for j in range(s - 1):
+        for d in range(1, min(j + 1, 3) + 1):
+            i = j + 1 - d
+            v = (be[i] - be[j]) * entry(d - 1, i) + ga[i + 1] * entry(d - 2, i + 1)
+            v -= ga[j] * entry(d - 2, i)
+            if i >= 1:
+                v += al[i - 1] * h[d][i - 1]
+            if d == 1:
+                v += 1.0
+            h[d].append(v / al[j])
+    return tuple(np.array(h[d]) for d in (1, 2, 3))
+
+
 def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Antiderivative coefficients with one extra row, shape (s+1, s).
 
-    The derivative section is built at size s+1 so the k = j+1 = s entries
-    the last column reads exist.
+    The derivative section is taken at size s+1 so the k = j+1 = s entries
+    the last column reads exist: its three superdiagonals for the classical
+    families, all of it for the back substitution of custom bases.
     """
     alpha, beta, gamma = recurrence_arrays(basis, s + 2)
-    eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
     theta = np.zeros((s + 1, s))
     j = np.arange(s)
     theta[j + 1, j] = a = alpha[:s] / (j + 1)
     if basis.family != "custom":  # structure relation: tridiagonal below row 0
-        h1, h2, h3 = (np.diagonal(eta, k) for k in (1, 2, 3))
+        h1, h2, h3 = _derivative_superdiagonals(alpha, beta, gamma, s + 1)
         theta[j[1:], j[1:]] = b = -a[1:] * h2[: s - 1] / h1[: s - 1]
         theta[j[1:-1], j[2:]] = -(a[2:] * h3 + b[1:] * h2[: s - 2]) / h1[: s - 2]
         return theta
+    eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
     for i in range(s - 2, -1, -1):
         acc = eta[i, i + 2 : s + 1] @ theta[i + 2 : s + 1, :]
         theta[i + 1, i + 1 :] = (-alpha[i] / (i + 1)) * acc[i + 1 :]

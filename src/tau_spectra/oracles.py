@@ -129,7 +129,9 @@ def bessel_j(m: int, x):
     x is a float, giving a float, or an array, giving an array of its shape.
     All points share one downward loop; each joins it at its own start index
     and sees exactly the operations a lone point would, so every array value
-    equals the per-point value bitwise.
+    equals the per-point value bitwise.  Where 2k/x overflows the loop past
+    what the rescale can hold, at x > 0 below about 1e-59, the value is
+    bessel_j_series(m, x), accurate there.
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
@@ -163,6 +165,10 @@ def bessel_j(m: int, x):
                 scale = np.where(big, 1e-250, 1.0)[()]
                 fk, fkp1, even_sum, target = fk * scale, fkp1 * scale, even_sum * scale, target * scale
         values = np.where(starts > 0, target / (fk + 2.0 * even_sum), 1.0 if m == 0 else 0.0)
+    lost = np.flatnonzero(~np.isfinite(values) & (xs > 0.0))
+    if lost.size:
+        values = np.array(values)  # writable, also for a 0-d result
+        values.flat[lost] = [bessel_j_series(m, v) for v in xs.flat[lost].tolist()]
     return float(values) if values.ndim == 0 else values
 
 

@@ -14,6 +14,11 @@ the Volterra matrix, all generated at section size n+1+h, where the height h
 is how far the operator can raise coefficient indices; the section therefore
 holds every row the degree-n image can touch.  One recurrence pass builds
 every power H^i, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
+
+Pi vanishes more than h rows below its diagonal, so the square Tau matrix
+has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
+a column block can reach, and the extended-precision refinement residual
+skips the zeros left of each row block's first nonzero column.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
 ]
 
 _ACTIONS = ("derivative", "identity", "volterra")
+_BLOCK = 64  # columns per Horner chain of Pi, rows per refinement residual block
 
 
 class NonFiniteSolutionError(ArithmeticError):
@@ -211,29 +217,44 @@ def operator_height(terms) -> int:
     return h
 
 
-def _poly_in_shift(recurrence, terms, shape: tuple[int, int]) -> np.ndarray:
+def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int) -> np.ndarray:
     """Sum of p(M) @ A over the (p, A) terms (A = None for the identity),
     with M the shift of the recurrence arrays (alpha, beta, gamma), by one
-    Horner chain: from the top degree down, t <- M t + sum of p_k A."""
-    diag = (np.arange(min(shape)),) * 2
+    Horner chain: from the top degree down, t <- M t + sum of p_k A.
+
+    height bounds how far any term raises indices (deg p plus the lower
+    bandwidth of A), so columns j < c1 of every partial sum vanish below row
+    c1 + height.  The chain runs on blocks of _BLOCK columns, each cut
+    to those rows; the rows below are exact zeros of the full chain and stay
+    zero here.  shape has at least as many rows as columns, and each A at
+    least shape entries.
+    """
+    rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
-    t = np.zeros(shape)
-    for k in range(top, -1, -1):
-        if k < top:
-            t = _shift_apply(*recurrence, t)
-        for p, a_mat in terms:
-            if k < p.shape[0] and a_mat is None:
-                t[diag] += p[k]
-            elif k < p.shape[0]:
-                t += p[k] * a_mat
-    return t
+    out = np.zeros(shape)
+    for c0 in range(0, cols, _BLOCK):
+        c1 = min(c0 + _BLOCK, cols)
+        r = min(rows, c1 + height)
+        diag = (np.arange(c0, c1), np.arange(c1 - c0))
+        t = np.zeros((r, c1 - c0))
+        for k in range(top, -1, -1):
+            if k < top:
+                t = _shift_apply(*recurrence, t)
+            for p, a_mat in terms:
+                if k < p.shape[0] and a_mat is None:
+                    t[diag] += p[k]
+                elif k < p.shape[0]:
+                    t += p[k] * a_mat[:r, c0:c1]
+        out[:r, c0:c1] = t
+    return out
 
 
 def assemble_pi(problem: TauProblem) -> np.ndarray:
     """Operator section Pi of shape (n+1+h, n+1): Pi @ a holds the
     nu-coefficients of L[u_n]."""
     n = problem.degree
-    s = n + 1 + operator_height(problem.operator)
+    h = operator_height(problem.operator)
+    s = n + 1 + h
     recurrence = recurrence_arrays(problem.basis, s + 1)
     orders = {t.order for t in problem.operator if t.action == "derivative"}
     powers = _derivative_table(*recurrence, s, orders) if orders else {}
@@ -243,7 +264,7 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
         else (t.coeff, powers.get(t.order))  # identity terms have order 0: None
         for t in problem.operator
     ]
-    return _poly_in_shift(recurrence, terms, (s, s))[:, : n + 1]
+    return _poly_in_shift(recurrence, terms, (s, n + 1), h)
 
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
@@ -254,7 +275,7 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1))[:, 0]
+    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d)[:, 0]
 
 
 def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:
@@ -319,6 +340,34 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     )
 
 
+def _residual_blocks(t: np.ndarray, cond_rows: np.ndarray) -> list:
+    """(rows, extended block, cols) triples that cover the nonzeros of t.
+
+    The first m_c rows are the extended condition rows.  Below them, each
+    block of _BLOCK rows starts at its first nonzero column, and only that
+    part of t is converted to extended precision.  A section from
+    assemble_pi puts that column within m_c + h of the block's first row, so
+    about half of the square is left out.
+    """
+    m_c, n = cond_rows.shape[0], t.shape[0]
+    blocks = [(slice(0, m_c), cond_rows, slice(0, n))]
+    for r0 in range(m_c, n, _BLOCK):
+        rows = slice(r0, min(r0 + _BLOCK, n))
+        cols = slice(int(np.argmax(t[rows].any(axis=0))), n)
+        blocks.append((rows, t[rows, cols].astype(np.longdouble), cols))
+    return blocks
+
+
+def _residual(blocks: list, b_ext: np.ndarray, a_ext: np.ndarray) -> np.ndarray:
+    """b - t a in extended precision from _residual_blocks.  The terms left
+    out are exact zeros, so each entry equals the full product's bit for
+    bit."""
+    r = np.empty_like(b_ext)
+    for rows, t_ext, cols in blocks:
+        r[rows] = b_ext[rows] - t_ext @ a_ext[cols]
+    return r
+
+
 def _refine(
     t: np.ndarray, b: np.ndarray, factors, coeffs: np.ndarray, cond_rows: np.ndarray
 ) -> np.ndarray:
@@ -329,17 +378,16 @@ def _refine(
     the accuracy, provided the float64 factors contract the error, which
     unscaled Laguerre condition rows prevent.  The condition rows are their
     extended-precision values, scaled like t, so the fixed point satisfies
-    the accurate functionals, not their float64 images.  Cheap (one matvec
-    and one substitution per step) and a near no-op for well-conditioned
-    systems.
+    the accurate functionals, not their float64 images.  Cheap (one banded
+    matvec and one substitution per step) and a near no-op for
+    well-conditioned systems.
     """
-    t_ext = t.astype(np.longdouble)
-    t_ext[: cond_rows.shape[0]] = cond_rows
+    blocks = _residual_blocks(t, cond_rows)
     b_ext = b.astype(np.longdouble)
     a_ext = coeffs.astype(np.longdouble)
     last = math.inf
     for _ in range(6):
-        r = b_ext - t_ext @ a_ext
+        r = _residual(blocks, b_ext, a_ext)
         corr = lu_solve_factored(factors, np.asarray(r, dtype=np.float64))
         step = float(np.max(np.abs(corr)))
         if not math.isfinite(step) or step == 0.0 or step >= last:

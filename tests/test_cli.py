@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -273,6 +277,47 @@ def test_csv_values_are_the_solution_evaluated(tmp_path):
     grid = np.linspace(0.0, 60.0, 121)
     expected = solve_tau(cli.bessel_problem(m, degree))(grid)
     assert [row[1] for row in body] == ["%.17g" % y for y in expected]
+
+
+def test_bessel_reference_on_a_grid_through_1e_minus_60(tmp_path):
+    # J_13(1e-60) overflows the Miller recurrence; the series replaces it.
+    cfg = {
+        "basis": {"family": "laguerre"},
+        "degree": 40,
+        "operator": [
+            {"action": "derivative", "coeff": [0.0, 0.0, 1.0], "order": 2},
+            {"action": "derivative", "coeff": [0.0, 1.0], "order": 1},
+            {"action": "identity", "coeff": [-169.0, 0.0, 1.0]},
+        ],
+        "conditions": [
+            {"terms": [{"coeff": 1.0, "deriv": 0, "point": 0.0}], "value": 0.0},
+            {"terms": [{"coeff": 1.0, "deriv": 0, "point": 20.0}], "value": 1.0},
+        ],
+        "rhs": {"coeff": [0.0]},
+        "grid": {"start": 1e-60, "stop": 20.0, "count": 5},
+        "reference": {"kind": "bessel", "params": {"m": 13, "scale_point": 20.0}},
+    }
+    out_path = str(tmp_path / "out.csv")
+    assert main(["solve", _write_config(tmp_path, cfg), "-o", out_path]) == 0
+    _, body = _read_csv(out_path)
+    assert float(body[0][0]) == 1e-60
+    assert all(np.isfinite(float(row[2])) for row in body)
+
+
+def test_solve_runs_without_scipy(tmp_path):
+    # scipy may be installed but is not a dependency: no module may import it.
+    cfg_path = _write_config(tmp_path, BASE_CONFIG)
+    out_path = tmp_path / "out.csv"
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from tau_spectra.cli import main; "
+        f"sys.exit(main(['solve', {cfg_path!r}, '-o', {str(out_path)!r}]))"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out_path.exists()
 
 
 def test_opmatrix_triplets(tmp_path):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from tau_spectra import tau
+from tau_spectra.cli import bessel_problem
 from tau_spectra.linalg import (
+    _BLOCK,
     LUFactors,
     SingularMatrixError,
     cond_estimate_1,
@@ -11,7 +14,9 @@ from tau_spectra.linalg import (
     lu_solve_factored,
     lu_solve_transposed,
     solve_upper_triangular,
+    _substitute,
 )
+from tau_spectra.tau import solve_tau
 
 
 def _well_conditioned(rng, size):
@@ -159,3 +164,144 @@ def test_cond_estimate_is_lower_bound_of_true_cond():
         true = np.linalg.cond(a, 1)
         assert est <= true * (1.0 + 1e-10)
         assert est >= 0.1 * true  # Hager's estimate is rarely far off
+
+
+def _rowwise_solve(factors, b):
+    """Per-row forward and back substitution, one Python step per row."""
+    lu, n = factors.lu, factors.size
+    x = np.array(b, dtype=np.float64, copy=True)
+    for k in range(n):
+        p = factors.piv[k]
+        x[k], x[p] = x[p], x[k]
+    for i in range(1, n):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
+    return x
+
+
+def _rowwise_solve_transposed(factors, b):
+    lu, n = factors.lu, factors.size
+    x = np.array(b, dtype=np.float64, copy=True)
+    for i in range(n):
+        x[i] = (x[i] - lu[:i, i] @ x[:i]) / lu[i, i]
+    for i in range(n - 2, -1, -1):
+        x[i] -= lu[i + 1 :, i] @ x[i + 1 :]
+    for k in range(n - 1, -1, -1):
+        p = factors.piv[k]
+        x[k], x[p] = x[p], x[k]
+    return x
+
+
+def _backward_error(a, x, b):
+    """Normwise backward error ||a x - b|| / (||a|| ||x|| + ||b||), inf-norms."""
+    norm_a = np.max(np.sum(np.abs(a), axis=1))
+    residual = np.max(np.abs(a @ x - b))
+    return residual / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+
+
+def _diagonal_blocks(a, upper):
+    tri = np.triu if upper else (lambda d: np.tril(d, -1) + np.eye(d.shape[0]))
+    return [tri(a[k : k + _BLOCK, k : k + _BLOCK]) for k in range(0, a.shape[0], _BLOCK)]
+
+
+def _check_against_rows(a, factors, b):
+    for solve, reference, system in (
+        (lu_solve_factored, _rowwise_solve, a),
+        (lu_solve_transposed, _rowwise_solve_transposed, a.T),
+    ):
+        x, x_rows = solve(factors, b), reference(factors, b)
+        assert _backward_error(system, x_rows, b) <= 1e-14
+        assert _backward_error(system, x, b) <= 1e-14, solve.__name__
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_blocked_solves_match_per_row_substitution(size):
+    rng = np.random.default_rng(41 + size)
+    a = _well_conditioned(rng, size)
+    b = rng.standard_normal(size)
+    factors = lu_factor(a)
+    _check_against_rows(a, factors, b)
+    x, x_rows = lu_solve_factored(factors, b), _rowwise_solve(factors, b)
+    assert np.max(np.abs(x - x_rows)) <= 1e-14 * np.max(np.abs(x_rows))
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "unit-lower"])
+def test_blocked_kernel_with_matrix_rhs(size, upper):
+    rng = np.random.default_rng(43 + size)
+    a = rng.standard_normal((size, size)) + size * np.eye(size)
+    tri = np.triu(a) if upper else np.tril(a, -1) + np.eye(size)
+    b = rng.standard_normal((size, 4))
+    x = _substitute(a, _diagonal_blocks(a, upper), b.copy(), upper)
+    assert np.all(np.abs(tri @ x - b) <= 1e-14 * (np.abs(tri) @ np.abs(x) + np.abs(b)))
+    if upper:
+        x_rows = solve_upper_triangular(a, b)
+        assert np.max(np.abs(x - x_rows)) <= 1e-14 * np.max(np.abs(x_rows))
+
+
+def test_blocked_solves_on_a_bessel_tau_matrix(monkeypatch):
+    seen = {}
+    real = tau.lu_factor
+
+    def spy(t):
+        seen["t"], seen["factors"] = t.copy(), real(t)
+        return seen["factors"]
+
+    monkeypatch.setattr(tau, "lu_factor", spy)
+    solve_tau(bessel_problem(10, 500))
+    b = np.random.default_rng(44).standard_normal(501)
+    _check_against_rows(seen["t"], seen["factors"], b)
+
+
+def _factors_with_zero_pivots(size, zeros):
+    lu = lu_factor(_well_conditioned(np.random.default_rng(45), size)).lu
+    lu[zeros, zeros] = 0.0
+    return LUFactors(lu=lu, piv=np.arange(size), growth=1.0)
+
+
+def test_zero_pivot_raises_where_substitution_meets_it():
+    # Back substitution meets the last zero first, forward substitution the
+    # first; solve_upper_triangular's per-row loop raises at the same index.
+    size = 3 * _BLOCK + 5
+    zeros = [5, _BLOCK + 3, 2 * _BLOCK + 7]
+    factors = _factors_with_zero_pivots(size, zeros)
+    with pytest.raises(SingularMatrixError) as back:
+        lu_solve_factored(factors, np.ones(size))
+    with pytest.raises(SingularMatrixError) as forward:
+        lu_solve_transposed(factors, np.ones(size))
+    with pytest.raises(SingularMatrixError) as rows:
+        solve_upper_triangular(factors.lu, np.ones(size))
+    assert back.value.pivot_index == rows.value.pivot_index == zeros[-1]
+    assert forward.value.pivot_index == zeros[0]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_factors_give_non_finite_solutions(value):
+    # np.linalg.LinAlgError is a ValueError, which the CLI would report as a
+    # config error: non-finite entries must come out as non-finite numbers,
+    # wherever the per-row loops give them (an infinite pivot gives a zero).
+    size = 2 * _BLOCK + 3
+    factors = _factors_with_zero_pivots(size, [])
+    for i, j in ((7, 7), (_BLOCK + 1, 2 * _BLOCK), (2 * _BLOCK + 2, 3)):
+        lu = factors.lu.copy()
+        lu[i, j] = value
+        broken = LUFactors(lu=lu, piv=factors.piv, growth=1.0)
+        for solve, reference in (
+            (lu_solve_factored, _rowwise_solve),
+            (lu_solve_transposed, _rowwise_solve_transposed),
+        ):
+            with np.errstate(all="ignore"):
+                finite = np.all(np.isfinite(solve(broken, np.ones(size))))
+                assert finite == np.all(np.isfinite(reference(broken, np.ones(size))))
+            assert finite == (i == j and np.isinf(value))
+
+
+def test_lapack_failure_becomes_nan(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    factors = lu_factor(np.eye(3) + 0.5)
+    for solve in (lu_solve_factored, lu_solve_transposed):
+        assert np.all(np.isnan(solve(factors, np.ones(3))))

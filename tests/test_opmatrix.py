@@ -6,6 +6,7 @@ import pytest
 
 from tau_spectra.basis import clenshaw, custom, jacobi, laguerre, monomial, recurrence_arrays
 from tau_spectra.opmatrix import (
+    _derivative_superdiagonals,
     derivative_matrix,
     integral_matrix,
     shift_matrix,
@@ -135,6 +136,16 @@ def test_structure_relation_matches_back_substitution(basis, s):
         reference = build(generic, s, *extra)
         scale = np.max(np.abs(reference), axis=0)
         assert np.all(np.abs(classical - reference) <= 1e-12 * scale), build.__name__
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 300, 1005])
+@pytest.mark.parametrize("basis", WITH_MONOMIAL, ids=WITH_MONOMIAL_IDS)
+def test_superdiagonals_equal_derivative_section_bitwise(basis, s):
+    # the O(s) recurrence behind the classical integral matrices
+    h = derivative_matrix(basis, s)
+    diagonals = _derivative_superdiagonals(*recurrence_arrays(basis, s + 1), s)
+    for k, diagonal in enumerate(diagonals, 1):
+        assert diagonal.tobytes() == np.ascontiguousarray(np.diagonal(h, k)).tobytes()
 
 
 @pytest.mark.parametrize("basis", WITH_MONOMIAL, ids=WITH_MONOMIAL_IDS)

@@ -288,3 +288,15 @@ def test_airy_cross_checked_by_finite_differences():
 def test_airy_rejects_tiny_epsilon():
     with pytest.raises(ValueError):
         airy_bvp_reference(1e-4, 0.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 10])
+def test_bessel_finite_at_tiny_arguments(m):
+    # There 2k/x overflows the downward recurrence; the series takes over.
+    grid = np.geomspace(1e-300, 1e-3, 298)
+    values = bessel_j(m, grid)
+    assert np.all(np.isfinite(values))
+    series = np.array([bessel_j_series(m, x) for x in grid.tolist()])
+    assert np.all(np.abs(values - series) <= 2e-15 * np.maximum(np.abs(series), 1e-300))
+    assert np.array([bessel_j(m, x) for x in grid.tolist()]).tobytes() == values.tobytes()
+    assert bessel_j(m, 1e-100) == (1.0 if m == 0 else bessel_j_series(m, 1e-100))

@@ -5,11 +5,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tau_spectra.basis import clenshaw, eval_basis_derivs, jacobi, laguerre, monomial
+from tau_spectra import tau
+from tau_spectra.basis import (
+    clenshaw,
+    eval_basis_derivs,
+    jacobi,
+    laguerre,
+    monomial,
+    recurrence_arrays,
+)
+from tau_spectra.cli import airy_problem, bessel_problem
 from tau_spectra.linalg import SingularMatrixError
-from tau_spectra.opmatrix import MAX_SECTION_SIZE, derivative_matrix
+from tau_spectra.opmatrix import (
+    MAX_SECTION_SIZE,
+    _derivative_table,
+    _shift_apply,
+    derivative_matrix,
+    volterra_matrix,
+)
 from tau_spectra.oracles import volterra_exact, volterra_forcing
 from tau_spectra.tau import (
+    NonFiniteSolutionError,
     TauProblem,
     assemble_pi,
     condition_row,
@@ -19,6 +35,7 @@ from tau_spectra.tau import (
     point_condition,
     project_rhs,
     solve_tau,
+    solve_tau_system,
     sup_error,
     volterra_term,
 )
@@ -400,3 +417,109 @@ def test_sup_error_direct():
     solution = solve_tau(problem)
     err = sup_error(solution, np.exp, [-1.0, 0.0, 1.0])
     assert err == pytest.approx(np.e - 2.0, rel=1e-12)
+
+
+def _dense_pi(problem):
+    """Pi by the Horner chain over whole s x s arrays, every row of every
+    column: the reference the banded chain must match bit for bit."""
+    n = problem.degree
+    s = n + 1 + operator_height(problem.operator)
+    recurrence = recurrence_arrays(problem.basis, s + 1)
+    terms = []
+    for term in problem.operator:
+        if term.action == "volterra":
+            a_mat = volterra_matrix(problem.basis, s, term.lower)
+        elif term.action == "derivative":
+            a_mat = _derivative_table(*recurrence, s, (term.order,))[term.order]
+        else:
+            a_mat = None
+        terms.append((term.coeff, a_mat))
+    diag = (np.arange(s),) * 2
+    top = max(p.shape[0] for p, _ in terms) - 1
+    t = np.zeros((s, s))
+    for k in range(top, -1, -1):
+        if k < top:
+            t = _shift_apply(*recurrence, t)
+        for p, a_mat in terms:
+            if k < p.shape[0] and a_mat is None:
+                t[diag] += p[k]
+            elif k < p.shape[0]:
+                t += p[k] * a_mat
+    return np.ascontiguousarray(t[:, : n + 1])
+
+
+BANDED_PROBLEMS = {
+    "bessel-laguerre-300": bessel_problem(10, 300),
+    "airy-legendre-200": airy_problem(LEG, 200, 1e-3),
+    "volterra-jacobi(1,-0.9)-120": _volterra_problem(jacobi(1.0, -0.9), 120),
+    "monomial-mixed-150": TauProblem(
+        basis=monomial(),
+        operator=[
+            derivative_term([0.3, -1.0, 2.0], 2),
+            volterra_term([0.5, -1.2], lower=0.25),
+            identity_term([-1.5, 0.25, -2.0, 1.0]),
+        ],
+        conditions=[],
+        rhs=[0.0],
+        degree=150,
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", BANDED_PROBLEMS.values(), ids=BANDED_PROBLEMS.keys())
+def test_banded_assembly_equals_dense_chain_bitwise(problem):
+    assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+
+
+def test_project_rhs_follows_the_polynomial_degree():
+    coeff = np.array([1.0, -2.0, 0.0, 3.5, -0.25])
+    for basis in BASES:
+        nu = project_rhs(coeff, basis, 300)
+        assert not np.any(nu[5:])
+        assert np.array_equal(nu[:5], project_rhs(coeff, basis, 5))
+
+
+def _refine_arguments(problem, monkeypatch):
+    seen = {}
+    real = tau._refine
+
+    def spy(t, b, factors, coeffs, cond_rows):
+        seen.update(t=t, b=b, coeffs=coeffs, cond_rows=cond_rows)
+        seen["refined"] = real(t, b, factors, coeffs, cond_rows)
+        return seen["refined"]
+
+    monkeypatch.setattr(tau, "_refine", spy)
+    solve_tau(problem)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "problem", [bessel_problem(10, 500), airy_problem(LEG, 200, 1e-3)], ids=["bessel-500", "airy-200"]
+)
+def test_banded_residual_equals_full_extended_product(problem, monkeypatch):
+    seen = _refine_arguments(problem, monkeypatch)
+    t, cond_rows = seen["t"], seen["cond_rows"]
+    t_ext = t.astype(np.longdouble)
+    t_ext[: cond_rows.shape[0]] = cond_rows
+    b_ext = seen["b"].astype(np.longdouble)
+    blocks = tau._residual_blocks(t, cond_rows)
+    for rows, _, cols in blocks[1:]:
+        assert not np.any(t[rows, : cols.start])
+    assert all(cols.start > 0 for _, _, cols in blocks[2:])
+    for a in (seen["coeffs"], seen["refined"]):
+        a_ext = np.asarray(a, dtype=np.longdouble)
+        full = b_ext - t_ext @ a_ext
+        banded = tau._residual(blocks, b_ext, a_ext)
+        # equal values and signs: bit for bit, without the padding bytes
+        assert np.array_equal(banded, full)
+        assert np.array_equal(np.signbit(banded), np.signbit(full))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_section_is_a_numerical_failure(value):
+    problem = airy_problem(LEG, 150, 1e-3)
+    for i, j in ((0, 0), (40, 100), (148, 140)):
+        pi = assemble_pi(problem)
+        pi[i, j] = value
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteSolutionError):
+            solve_tau_system(problem, pi)
