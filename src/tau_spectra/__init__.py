@@ -62,7 +62,6 @@ from .tau import (
     project_rhs,
     solve_tau,
     solve_tau_system,
-    sup_error,
     volterra_term,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "condition_row",
     "solve_tau",
     "solve_tau_system",
-    "sup_error",
     "power_oracle_column",
     "bessel_j",
     "bessel_j_series",

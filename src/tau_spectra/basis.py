@@ -48,15 +48,6 @@ class RecurrenceBasis:
     beta: float = math.nan
     coeff_fn: Callable[[int], tuple[float, float, float]] | None = None
     custom_mu0: float = math.nan
-    custom_interval: tuple[float, float] = (math.nan, math.nan)
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        if self.family == "jacobi":
-            return (-1.0, 1.0)
-        if self.family == "laguerre":
-            return (0.0, math.inf)
-        return self.custom_interval
 
     @property
     def mu0(self) -> float:
@@ -93,18 +84,9 @@ def laguerre() -> RecurrenceBasis:
     return RecurrenceBasis(family="laguerre")
 
 
-def custom(
-    coeff_fn: Callable[[int], tuple[float, float, float]],
-    mu0: float,
-    interval: tuple[float, float] = (-math.inf, math.inf),
-) -> RecurrenceBasis:
+def custom(coeff_fn: Callable[[int], tuple[float, float, float]], mu0: float) -> RecurrenceBasis:
     """Basis defined by a callback j -> (alpha_j, beta_j, gamma_j)."""
-    return RecurrenceBasis(
-        family="custom",
-        coeff_fn=coeff_fn,
-        custom_mu0=float(mu0),
-        custom_interval=(float(interval[0]), float(interval[1])),
-    )
+    return RecurrenceBasis(family="custom", coeff_fn=coeff_fn, custom_mu0=float(mu0))
 
 
 def monomial() -> RecurrenceBasis:

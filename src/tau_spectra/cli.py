@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Solves problems described by JSON config files, reproduces the benchmark
-error tables and the Bessel figure data as CSV, dumps operational matrices,
-and runs the conditioning comparison between the recurrence-built operator
-section and the classic route through the monomial basis.
+error tables (each cell measured against the exact solution on the table
+grid) and the Bessel figure data as CSV, dumps operational matrices, and runs
+the conditioning comparison between the recurrence-built operator section
+and the classic route through the monomial basis.
 
 Commands raise; ``main`` alone maps an exception to an exit code and one
 ``tau-spectra: ...`` status line on standard error: 0 success; 2 ``config
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib.resources
 import json
 import math
 import os
@@ -51,7 +53,6 @@ from .tau import (
     point_condition,
     solve_tau,
     solve_tau_system,
-    sup_error,
     volterra_term,
 )
 
@@ -69,6 +70,9 @@ TABLE1_EPSILON = 1e-5
 TABLE2_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (1.0, -0.9), (10.0, 0.0))
 TABLE2_DEGREES = (50, 100, 150, 1000)
 TABLE2_LOWER = 1.25
+# The exact table1 solution on GRID_JACOBI, one %.17g value per line, written
+# by scripts/table1_exact.py with mpmath, which is not a runtime dependency.
+TABLE1_EXACT = importlib.resources.files(__package__) / "table1_exact.txt"
 
 # Most points a config grid may ask for; each costs a Clenshaw sum and,
 # with a volterra_exact reference, a Python-level reference evaluation.
@@ -274,11 +278,7 @@ def _reference_from_config(spec: dict | None):
     if kind == "volterra_exact":
         if "a" not in params:
             raise ConfigError("volterra_exact reference requires params.a")
-        a = float(params["a"])
-        # Point by point: a closed form through np.exp would differ from
-        # math.exp in the last bits.
-        per_point = lambda grid: np.array([volterra_exact(a, x) for x in grid.tolist()])
-        return per_point, "volterra_exact"
+        return functools.partial(_volterra_on_grid, float(params["a"])), "volterra_exact"
     if kind == "bessel":
         if "m" not in params:
             raise ConfigError("bessel reference requires params.m")
@@ -377,45 +377,56 @@ def _grid(spec: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(spec[0], spec[1], spec[2])
 
 
-def cmd_table(args: argparse.Namespace) -> None:
-    grid = _grid(GRID_JACOBI)
-    if args.which == "table1":
-        pairs, degrees = TABLE1_PAIRS, TABLE1_DEGREES
-        # No external reference survives double precision at this epsilon,
-        # so each row is measured against a high-degree solution from a
-        # different basis and the column records which one.
-        ref_cheb = solve_tau(airy_problem(jacobi(-0.5, -0.5), 1000, TABLE1_EPSILON))(grid)
-        ref_leg = solve_tau(airy_problem(jacobi(0.0, 0.0), 1000, TABLE1_EPSILON))(grid)
-        header = ["alpha", "beta"] + [f"n={n}" for n in degrees] + ["reference"]
-    else:
-        pairs, degrees = TABLE2_PAIRS, TABLE2_DEGREES
-        refs = np.array([volterra_exact(TABLE2_LOWER, float(x)) for x in grid])
-        header = ["alpha", "beta"] + [f"n={n}" for n in degrees]
+def _volterra_on_grid(a: float, grid: np.ndarray) -> np.ndarray:
+    """volterra_exact at each grid point.  Point by point: a closed form
+    through np.exp would differ from math.exp in the last bits."""
+    return np.array([volterra_exact(a, x) for x in grid.tolist()])
 
-    rows = []
+
+def read_grid_values(path, count: int) -> np.ndarray:
+    """The values stored one per line in the text file at path (a Path or a
+    package resource); raises ValueError unless there are count of them."""
+    values = np.array([float(v) for v in path.read_text(encoding="ascii").split()])
+    if values.shape != (count,):
+        raise ValueError(f"{path} holds {values.shape[0]} values, expected {count}")
+    return values
+
+
+# Per table: Jacobi (alpha, beta) pairs, degrees, the problem in a basis at a
+# degree, and the exact solution on the grid.
+TABLES = {
+    "table1": (
+        TABLE1_PAIRS,
+        TABLE1_DEGREES,
+        lambda basis, n: airy_problem(basis, n, TABLE1_EPSILON),
+        lambda grid: read_grid_values(TABLE1_EXACT, grid.shape[0]),
+    ),
+    "table2": (
+        TABLE2_PAIRS,
+        TABLE2_DEGREES,
+        lambda basis, n: volterra_problem(basis, n, TABLE2_LOWER),
+        functools.partial(_volterra_on_grid, TABLE2_LOWER),
+    ),
+}
+
+
+def cmd_table(args: argparse.Namespace) -> None:
+    """Write the table's error grid: one row per (alpha, beta) pair, each
+    cell max|y_n - exact| over GRID_JACOBI, FAIL where the solve fails."""
+    pairs, degrees, problem, reference = TABLES[args.which]
+    grid = _grid(GRID_JACOBI)
+    refs = reference(grid)
+    rows = [",".join(["alpha", "beta"] + [f"n={n}" for n in degrees])]
     for al, be in pairs:
         cells = [_fmt(al), _fmt(be)]
-        if args.which == "table1":
-            surrogate = ref_cheb if (al, be) == (0.0, 0.0) else ref_leg
-            surrogate_name = (
-                "jacobi(-0.5,-0.5) n=1000" if (al, be) == (0.0, 0.0) else "jacobi(0,0) n=1000"
-            )
         for n in degrees:
             try:
-                basis = jacobi(al, be)
-                if args.which == "table1":
-                    sol = solve_tau(airy_problem(basis, n, TABLE1_EPSILON))
-                    err = float(np.max(np.abs(sol(grid) - surrogate)))
-                else:
-                    sol = solve_tau(volterra_problem(basis, n, TABLE2_LOWER))
-                    err = float(np.max(np.abs(sol(grid) - refs)))
-                cells.append(_fmt(err))
+                ys = solve_tau(problem(jacobi(al, be), n))(grid)
+                cells.append(_fmt(float(np.max(np.abs(ys - refs)))))
             except (ArithmeticError, ValueError):
                 cells.append("FAIL")
-        if args.which == "table1":
-            cells.append(surrogate_name)
         rows.append(",".join(cells))
-    _write_lines(args.output, [",".join(header), *rows])
+    _write_lines(args.output, rows)
 
 
 def cmd_bessel(args: argparse.Namespace) -> None:
@@ -477,16 +488,16 @@ def condition_comparison(n: int) -> tuple[float, float, float]:
     basis = jacobi(0.0, 0.0)
     problem = volterra_problem(basis, n, TABLE2_LOWER)
     grid = _grid(GRID_JACOBI)
-    reference = lambda x: volterra_exact(TABLE2_LOWER, x)
+    refs = _volterra_on_grid(TABLE2_LOWER, grid)
 
-    err_rec = sup_error(solve_tau(problem), reference, grid)
+    err_rec = float(np.max(np.abs(solve_tau(problem)(grid) - refs)))
 
     s = n + 1 + operator_height(problem.operator)
     v = change_of_basis(basis, s - 1)
     pi_power = np.zeros((s, s))
     pi_power[:, : n + 1] = assemble_pi(dataclasses.replace(problem, basis=monomial()))
     pi_sim = similarity_pi(v, pi_power)[:, : n + 1]
-    err_sim = sup_error(solve_tau_system(problem, pi_sim), reference, grid)
+    err_sim = float(np.max(np.abs(solve_tau_system(problem, pi_sim)(grid) - refs)))
     return err_rec, err_sim, cond_estimate_1(v)
 
 
@@ -519,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_solve)
 
-    for which in ("table1", "table2"):
+    for which in TABLES:
         p = sub.add_parser(which, help=f"emit the {which} error grid as CSV")
         p.add_argument("-o", "--output", required=True, help="output CSV path")
         p.set_defaults(func=cmd_table, which=which)

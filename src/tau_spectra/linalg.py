@@ -51,7 +51,7 @@ class SingularMatrixError(ArithmeticError):
         self.pivot_index = pivot_index
 
 
-_BLOCK = 64  # rows per diagonal block of the blocked substitutions
+_BLOCK = 64  # rows per diagonal block of the substitutions, and per max|U| block
 
 
 @dataclass
@@ -116,8 +116,9 @@ def lu_factor(a) -> LUFactors:
         if nonzero.size:
             end = k + 2 + int(nonzero[-1])
             work[k + 1 : end, k + 1 :] -= np.outer(work[k + 1 : end, k], work[k, k + 1 :])
-    # max|U| over blocks of 64 rows, so no temporary is n x n
-    maxu = float(np.max([np.max(np.abs(np.triu(work[i : i + 64], i))) for i in range(0, n, 64)]))
+    # max|U| over blocks of _BLOCK rows, so no temporary is n x n
+    blocks = range(0, n, _BLOCK)
+    maxu = float(np.max([np.max(np.abs(np.triu(work[i : i + _BLOCK], i))) for i in blocks]))
     growth = maxu / maxa if maxa > 0.0 else 1.0
     return LUFactors(lu=work, piv=piv, growth=growth)
 

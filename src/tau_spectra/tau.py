@@ -50,7 +50,6 @@ __all__ = [
     "condition_row",
     "solve_tau",
     "solve_tau_system",
-    "sup_error",
 ]
 
 _ACTIONS = ("derivative", "identity", "volterra")
@@ -155,6 +154,9 @@ class TauProblem:
         self.rhs = _trim_poly(self.rhs)
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
+        m_c = len(self.conditions)
+        if m_c > self.degree + 1:
+            raise ValueError(f"{m_c} conditions over-constrain degree {self.degree}")
         s = self.degree + 1 + operator_height(self.operator)
         if s > MAX_SECTION_SIZE:
             raise ValueError(f"section size {s} (degree + 1 + height) exceeds {MAX_SECTION_SIZE}")
@@ -305,8 +307,6 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     h = operator_height(problem.operator)
     if pi.shape != (n + 1 + h, n + 1):
         raise ValueError(f"operator section shape {pi.shape} != {(n + 1 + h, n + 1)}")
-    if m_c > n + 1:
-        raise ValueError(f"{m_c} conditions over-constrain degree {n}")
     f_nu = project_rhs(problem.rhs, problem.basis, n + 1 + h)
     keep = n + 1 - m_c
     cond_rows = np.zeros((m_c, n + 1), dtype=np.longdouble)
@@ -396,12 +396,3 @@ def _refine(
         last = step
     return a_ext
 
-
-def sup_error(solution: TauSolution, reference, grid) -> float:
-    """Max absolute deviation of the solution from reference(x) over grid."""
-    xs = np.asarray(grid, dtype=np.float64).reshape(-1)
-    if xs.shape[0] == 0:
-        raise ValueError("grid must contain at least one point")
-    ys = solution(xs)
-    ref = np.array([float(reference(float(x))) for x in xs])
-    return float(np.max(np.abs(ys - ref)))

@@ -8,6 +8,8 @@ of the solver on randomized problems.
 """
 
 import dataclasses
+import importlib.util
+import pathlib
 import time
 from fractions import Fraction
 
@@ -35,7 +37,6 @@ from tau_spectra import (
     similarity_pi,
     solve_tau,
     solve_tau_system,
-    sup_error,
     volterra_exact,
     volterra_matrix,
     volterra_term,
@@ -45,12 +46,14 @@ from tau_spectra.cli import (
     GRID_BESSEL,
     GRID_JACOBI,
     TABLE1_EPSILON,
+    TABLE1_EXACT,
     TABLE1_PAIRS,
     TABLE2_LOWER,
     TABLE2_PAIRS,
     airy_problem,
     bessel_problem,
     condition_comparison,
+    read_grid_values,
     volterra_problem,
 )
 from tau_spectra.oracles import _exact_monomial_rows
@@ -61,6 +64,16 @@ BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0
 def _grid(spec):
     start, stop, count = spec
     return np.linspace(start, stop, count)
+
+
+def _table1_script():
+    """scripts/table1_exact.py as a module; skips the test without mpmath."""
+    pytest.importorskip("mpmath")
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "table1_exact.py"
+    spec = importlib.util.spec_from_file_location("table1_exact", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_structural_identities():
@@ -106,11 +119,11 @@ def test_oracle_equivalence():
 def test_volterra_error_table():
     start = time.perf_counter()
     grid = _grid(GRID_JACOBI)
-    reference = lambda x: volterra_exact(TABLE2_LOWER, x)
+    exact = np.array([volterra_exact(TABLE2_LOWER, float(x)) for x in grid])
 
     def cell(alpha, beta, n):
         problem = volterra_problem(jacobi(alpha, beta), n, TABLE2_LOWER)
-        return sup_error(solve_tau(problem), reference, grid)
+        return np.max(np.abs(solve_tau(problem)(grid) - exact))
 
     assert cell(0.0, 0.0, 50) > 1.0
     assert 1e-8 <= cell(0.0, 0.0, 100) <= 1e-5
@@ -145,8 +158,7 @@ def test_boundary_layer_problem():
 
     # moderate layer width: an independent reference exists in float64
     sol = solve_tau(airy_problem(legendre, 80, 1e-2))
-    err = sup_error(sol, lambda x: airy_bvp_reference(1e-2, x), grid)
-    assert err <= 1e-9
+    assert np.max(np.abs(sol(grid) - airy_bvp_reference(1e-2, grid))) <= 1e-9
 
     # sharp layer: no independent float64 reference, so pin the solution by
     # agreement across bases and across degrees
@@ -163,25 +175,24 @@ def test_boundary_layer_problem():
 def test_airy_table1_against_exact_solution():
     """table1's problem at degree 1000 against its exact solution
     c1*Ai(k x) + c2*Bi(k x), k = eps^(-1/3), evaluated at 50 digits."""
-    mpmath = pytest.importorskip("mpmath")
+    script = _table1_script()
     start = time.perf_counter()
     grid = _grid(GRID_JACOBI)[::10]
-    with mpmath.workdps(50):
-        k = mpmath.mpf(TABLE1_EPSILON) ** (-mpmath.mpf(1) / 3)
-        ai_lo, bi_lo = mpmath.airyai(-k), mpmath.airybi(-k)
-        ai_hi, bi_hi = mpmath.airyai(k), mpmath.airybi(k)
-        # Cramer's rule for y(-1) = y(1) = 1: with Ai(k) ~ 1e-92 and
-        # Bi(k) ~ 1e91, mpmath.lu_solve calls this 2x2 system singular.
-        det = ai_lo * bi_hi - bi_lo * ai_hi
-        c1 = (bi_hi - bi_lo) / det
-        c2 = (ai_lo - ai_hi) / det
-        exact = np.array(
-            [float(c1 * mpmath.airyai(k * x) + c2 * mpmath.airybi(k * x)) for x in grid]
-        )
+    exact = script.airy_exact(TABLE1_EPSILON, grid.tolist())
     for alpha, beta in TABLE1_PAIRS:
         y = solve_tau(airy_problem(jacobi(alpha, beta), 1000, TABLE1_EPSILON))(grid)
         assert np.max(np.abs(y - exact)) <= 2e-11, (alpha, beta)
     assert time.perf_counter() - start < 30.0
+
+
+def test_committed_table1_values_are_the_exact_solution():
+    """The package data table1 measures against, on every 10th grid point,
+    equals the 50-digit Ai/Bi solution rounded to float64."""
+    script = _table1_script()
+    grid = _grid(GRID_JACOBI)
+    committed = read_grid_values(TABLE1_EXACT, grid.shape[0])
+    exact = script.airy_exact(TABLE1_EPSILON, grid[::10].tolist())
+    assert np.max(np.abs(committed[::10] - exact)) <= 1e-15
 
 
 def test_bessel_convergence():

@@ -133,8 +133,7 @@ def test_non_finite_solution_fails_table_cell_and_bessel(tmp_path, monkeypatch, 
         raise NonFiniteSolutionError("solution coefficients are not finite")
 
     monkeypatch.setattr(cli, "solve_tau", non_finite)
-    monkeypatch.setattr(cli, "TABLE2_PAIRS", ((0.0, 0.0),))
-    monkeypatch.setattr(cli, "TABLE2_DEGREES", (50,))
+    monkeypatch.setitem(cli.TABLES, "table2", (((0.0, 0.0),), (50,), *cli.TABLES["table2"][2:]))
     out_path = str(tmp_path / "table2.csv")
     assert main(["table2", "-o", out_path]) == 0
     assert _read_csv(out_path)[1] == [["0", "0", "FAIL"]]
@@ -406,6 +405,26 @@ def test_table2_layout_and_bands(tmp_path):
     legendre = body[0]
     assert float(legendre[2]) > 1.0
     assert 1e-8 <= float(legendre[3]) <= 1e-5
+
+
+def test_table1_against_exact_solution(tmp_path):
+    out_path = str(tmp_path / "table1.csv")
+    assert main(["table1", "-o", out_path]) == 0
+    header, body = _read_csv(out_path)
+    assert header == ["alpha", "beta", "n=150", "n=250", "n=350", "n=1000"]
+    assert len(body) == 5
+    assert all(cell != "FAIL" for row in body for cell in row)
+    # max|y - exact| over the grid; the five pairs read 6e-13 .. 7e-12
+    assert all(float(row[5]) <= 2e-11 for row in body)
+
+
+def test_grid_values_file_must_hold_the_grid_count(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("1\n0.5\n", encoding="ascii")
+    assert cli.read_grid_values(path, 2).tolist() == [1.0, 0.5]
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"holds 2 values, expected {count}"):
+            cli.read_grid_values(path, count)
 
 
 def _solve(**changes):

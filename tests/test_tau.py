@@ -36,7 +36,6 @@ from tau_spectra.tau import (
     project_rhs,
     solve_tau,
     solve_tau_system,
-    sup_error,
     volterra_term,
 )
 
@@ -269,7 +268,8 @@ def test_volterra_benchmark_degree_100():
     problem = _volterra_problem(LEG, 100)
     solution = solve_tau(problem)
     grid = np.linspace(-1.0, 1.0, 2001)
-    err = sup_error(solution, lambda x: volterra_exact(1.25, x), grid)
+    exact = np.array([volterra_exact(1.25, float(x)) for x in grid])
+    err = np.max(np.abs(solution(grid) - exact))
     assert 1e-8 <= err <= 1e-5
 
 
@@ -354,6 +354,15 @@ def test_overconstrained_rejected():
         )
 
 
+def test_overconstrained_rejected_on_construction():
+    """m_c > n + 1 raises in TauProblem itself, before any section is built."""
+    points = (-1.0, 0.0, 1.0)
+    first_order = [derivative_term([1.0])]
+    TauProblem(LEG, first_order, [point_condition(x, 0.0) for x in points[:2]], [0.0], 1)
+    with pytest.raises(ValueError, match="3 conditions over-constrain degree 1"):
+        TauProblem(LEG, first_order, [point_condition(x, 0.0) for x in points], [0.0], 1)
+
+
 def test_section_size_bounded():
     """Sizes are checked on construction, before any section is allocated."""
     first_order = [derivative_term([1.0]), identity_term([-1.0])]
@@ -404,19 +413,6 @@ def test_solution_is_callable():
     solution = solve_tau(problem)
     assert solution(0.5) == pytest.approx(1.5, rel=1e-14)
     assert solution.degree == 1
-
-
-def test_sup_error_direct():
-    problem = TauProblem(
-        basis=LEG,
-        operator=[derivative_term([1.0]), identity_term([-1.0])],
-        conditions=[point_condition(0.0, 1.0)],
-        rhs=np.array([0.0]),
-        degree=1,
-    )
-    solution = solve_tau(problem)
-    err = sup_error(solution, np.exp, [-1.0, 0.0, 1.0])
-    assert err == pytest.approx(np.e - 2.0, rel=1e-12)
 
 
 def _dense_pi(problem):
