@@ -269,16 +269,16 @@ def _conditions_from_config(items: list[dict]) -> list[ConditionSpec]:
 
 
 def _reference_from_config(spec: dict | None):
-    """Resolve the optional reference block to (callable or None, label); the
+    """Resolve the optional reference block to a callable, or None; the
     callable maps the grid array to the reference values on it."""
     if spec is None or spec["kind"] == "none":
-        return None, ""
+        return None
     kind = spec["kind"]
     params = spec.get("params", {})
     if kind == "volterra_exact":
         if "a" not in params:
             raise ConfigError("volterra_exact reference requires params.a")
-        return functools.partial(_volterra_on_grid, float(params["a"])), "volterra_exact"
+        return functools.partial(_volterra_on_grid, float(params["a"]))
     if kind == "bessel":
         if "m" not in params:
             raise ConfigError("bessel reference requires params.m")
@@ -287,12 +287,12 @@ def _reference_from_config(spec: dict | None):
             scale = bessel_j(m, float(params["scale_point"]))
             if scale == 0.0:
                 raise ConfigError("bessel reference scale point is a zero of J_m")
-            return (lambda x: bessel_j(m, x) / scale), "bessel"
-        return (lambda x: bessel_j(m, x)), "bessel"
+            return lambda x: bessel_j(m, x) / scale
+        return lambda x: bessel_j(m, x)
     if "epsilon" not in params:
         raise ConfigError("airy_bvp reference requires params.epsilon")
     eps = float(params["epsilon"])
-    return (lambda x: airy_bvp_reference(eps, x)), "airy_bvp"
+    return lambda x: airy_bvp_reference(eps, x)
 
 
 def _problem_from_config(cfg: dict):
@@ -308,15 +308,14 @@ def _problem_from_config(cfg: dict):
     grid = np.linspace(float(g["start"]), float(g["stop"]), int(g["count"]))
     if not np.all(np.isfinite(grid)):
         raise ConfigError("grid points are not finite: stop - start overflows")
-    ref, label = _reference_from_config(cfg.get("reference"))
-    return problem, grid, ref, label
+    return problem, grid, _reference_from_config(cfg.get("reference"))
 
 
 def cmd_solve(args: argparse.Namespace) -> None:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     _validate_config(cfg)
-    problem, grid, ref, _ = _problem_from_config(cfg)
+    problem, grid, ref = _problem_from_config(cfg)
     solution = solve_tau(problem)
 
     ys = solution(grid)

@@ -201,8 +201,9 @@ def solve_upper_triangular(u, b) -> np.ndarray:
     return x[:, 0] if vec else x
 
 
-def _invnorm_estimate_1(factors: LUFactors) -> float:
-    """Hager's lower-bound iteration for ||A^{-1}||_1 using the factors."""
+def cond_estimate_factored(factors: LUFactors, norm1: float) -> float:
+    """Condition estimate from existing factors and the 1-norm of the matrix:
+    norm1 times Hager's lower-bound iteration for ||A^{-1}||_1."""
     n = factors.size
     x = np.full(n, 1.0 / n)
     est = 0.0
@@ -223,15 +224,10 @@ def _invnorm_estimate_1(factors: LUFactors) -> float:
     # Extra probe with an alternating, graded vector; guards against the
     # iteration stalling on unlucky starting points.
     if n > 1:
-        v = np.array([(-1.0) ** i * (1.0 + i / (n - 1.0)) for i in range(n)])
-        y = lu_solve_factored(factors, v)
+        i = np.arange(n)
+        y = lu_solve_factored(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
         est = max(est, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
-    return est
-
-
-def cond_estimate_factored(factors: LUFactors, norm1: float) -> float:
-    """Condition estimate from existing factors and the 1-norm of the matrix."""
-    est = _invnorm_estimate_1(factors) * norm1
+    est *= norm1
     if not np.isfinite(est):
         return float("inf")
     return est

@@ -160,6 +160,8 @@ class TauProblem:
         s = self.degree + 1 + operator_height(self.operator)
         if s > MAX_SECTION_SIZE:
             raise ValueError(f"section size {s} (degree + 1 + height) exceeds {MAX_SECTION_SIZE}")
+        if self.rhs.shape[0] > s:
+            raise ValueError(f"rhs degree {self.rhs.shape[0] - 1} exceeds degree + height {s - 1}")
         # A derivative of order above s is exactly zero on the section, yet
         # would still cost an order-deep recurrence pass or a deriv x n table.
         orders = [t.order for t in self.operator]

@@ -141,6 +141,19 @@ def test_non_finite_solution_fails_table_cell_and_bessel(tmp_path, monkeypatch, 
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_oversized_rhs_exits_before_assembly(tmp_path, monkeypatch, capsys):
+    def no_assembly(problem):
+        raise AssertionError("assemble_pi ran on a problem it cannot solve")
+
+    monkeypatch.setattr(tau, "assemble_pi", no_assembly)
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["rhs"] = {"coeff": [0.0] * 5 + [1.0]}
+    out_path = tmp_path / "out.csv"
+    assert main(["solve", _write_config(tmp_path, cfg), "-o", str(out_path)]) == 2
+    assert "config error: rhs degree 5 exceeds degree + height 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
     validator_class = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
     check_schema = validator_class.check_schema

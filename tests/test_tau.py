@@ -363,6 +363,16 @@ def test_overconstrained_rejected_on_construction():
         TauProblem(LEG, first_order, [point_condition(x, 0.0) for x in points], [0.0], 1)
 
 
+def test_oversized_rhs_rejected_on_construction():
+    """An rhs of degree above n + h raises in TauProblem itself, before any
+    section is built; trailing zeros do not count."""
+    operator = _airy_operator(1e-2)  # height 1: degree 3 leaves room for rhs degree 4
+    TauProblem(LEG, operator, [], [0.0] * 4 + [1.0], 3)
+    TauProblem(LEG, operator, [], [1.0] + [0.0] * 9, 3)
+    with pytest.raises(ValueError, match=r"rhs degree 5 exceeds degree \+ height 4"):
+        TauProblem(LEG, operator, [], [0.0] * 5 + [1.0], 3)
+
+
 def test_section_size_bounded():
     """Sizes are checked on construction, before any section is allocated."""
     first_order = [derivative_term([1.0]), identity_term([-1.0])]
