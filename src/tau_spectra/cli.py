@@ -11,10 +11,11 @@ Commands raise; ``main`` alone maps an exception to an exit code and one
 error`` for invalid input anywhere (schema violations, unusable values,
 NaN/Infinity literals or numbers overflowing to infinity in a config, sizes
 past their bounds, bad command-line values); 3 ``numerical failure`` for a
-singular Tau system, non-finite coefficients or output values, or overflow;
-4 ``I/O error``.  Commands run with numpy floating-point warnings off, so
-the finiteness checks decide and no warning precedes the status line.  No
-input ends in a traceback, and no NaN or infinity is written with exit 0.
+singular or non-finite Tau system, non-finite coefficients, residual tail or
+output values, or overflow; 4 ``I/O error``.  Commands run with numpy
+floating-point warnings off, so the finiteness checks decide and no warning
+precedes the status line.  No input ends in a traceback, and no NaN or
+infinity is written with exit 0.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .tau import (
     ConditionSpec,
     ConditionTerm,
     NonFiniteSolutionError,
+    OperatorTerm,
     TauProblem,
     assemble_pi,
     derivative_term,
@@ -83,6 +85,9 @@ class ConfigError(ValueError):
     """A config or command-line value the CLI cannot use."""
 
 
+ACTION_ORDERS = {"derivative": 1, "identity": 0, "volterra": -1}  # the k of p(x) * D^k
+
+
 _POLY = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
 CONFIG_SCHEMA = {
@@ -109,7 +114,7 @@ CONFIG_SCHEMA = {
                 "additionalProperties": False,
                 "required": ["action", "coeff"],
                 "properties": {
-                    "action": {"enum": ["derivative", "identity", "volterra"]},
+                    "action": {"enum": list(ACTION_ORDERS)},
                     "order": {"type": "integer", "minimum": 1},
                     "lower": {"type": "number"},
                     "coeff": _POLY,
@@ -236,24 +241,15 @@ def _basis_from_config(spec: dict) -> RecurrenceBasis:
     return laguerre()
 
 
-def _terms_from_config(items: list[dict]) -> list:
+def _terms_from_config(items: list[dict]) -> list[OperatorTerm]:
     terms = []
     for it in items:
-        action = it["action"]
-        if action == "derivative":
-            if "lower" in it:
-                raise ConfigError("derivative term does not take 'lower'")
-            terms.append(derivative_term(it["coeff"], int(it.get("order", 1))))
-        elif action == "identity":
-            if "order" in it or "lower" in it:
-                raise ConfigError("identity term takes only 'coeff'")
-            terms.append(identity_term(it["coeff"]))
-        else:
-            if "order" in it:
-                raise ConfigError("volterra term does not take 'order'")
-            if "lower" not in it:
-                raise ConfigError("volterra term requires 'lower'")
-            terms.append(volterra_term(it["coeff"], float(it["lower"])))
+        action, k = it["action"], ACTION_ORDERS[it["action"]]
+        if "order" in it and k != 1:
+            raise ConfigError(f"{action} term does not take 'order'")
+        if ("lower" in it) != (k == -1):
+            raise ConfigError(f"{action} term {'requires' if k == -1 else 'does not take'} 'lower'")
+        terms.append(OperatorTerm(it["coeff"], int(it.get("order", k)), float(it.get("lower", 0))))
     return terms
 
 

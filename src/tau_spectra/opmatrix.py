@@ -170,6 +170,8 @@ def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
     """Matrix of u -> integral from a to x of u: the antiderivative matrix
     with row 0 replaced so every column vanishes at x = a."""
     _check_size(s, 2)
+    if not np.isfinite(a):
+        raise ValueError(f"volterra lower limit must be finite, got {a}")
     theta = _integral_table_ext(basis, s)
     nu_at_a = eval_basis_derivs(basis, s, float(a))[0].astype(np.float64)
     mat = np.ascontiguousarray(theta[:s])

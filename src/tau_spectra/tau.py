@@ -2,18 +2,18 @@
 
 A problem is an operator L u = f with m_c supplementary conditions, where
 
-    L = sum over terms of p(x) * (d^i/dx^i | identity | integral from a to x)
+    L = sum over terms of p(x) * D^k,  D^0 = I,  D^-1 = integral from a to x,
 
 and p and f are polynomials given by monomial coefficients.  The degree-n
 approximation u_n = sum_k a_k nu_k satisfies the conditions exactly and the
 first n+1-m_c coefficient rows of L u_n = f; the remaining rows of the
 residual are the tail that the method perturbs the equation by.
 
-The operator section is sum over terms of p(M) * A with A one of H^i, I, or
-the Volterra matrix, all generated at section size n+1+h, where the height h
-is how far the operator can raise coefficient indices; the section therefore
-holds every row the degree-n image can touch.  One recurrence pass builds
-every power H^i, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
+The operator section is sum over terms of p(M) * A with A one of H^k, I, or
+the Volterra matrix at section size n+1+h, where the height h = max(deg p - k)
+is how far the operator can raise coefficient indices, so the section holds
+every row the degree-n image can touch.  One recurrence pass builds every
+power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
@@ -52,7 +52,6 @@ __all__ = [
     "solve_tau_system",
 ]
 
-_ACTIONS = ("derivative", "identity", "volterra")
 _BLOCK = 64  # columns per Horner chain of Pi, rows per refinement residual block
 
 
@@ -72,23 +71,18 @@ def _trim_poly(coeff) -> np.ndarray:
 
 @dataclass
 class OperatorTerm:
-    """One operator term p(x) * A; coeff are monomial coefficients of p."""
+    """Term p(x) * D^order, coeff the monomial coefficients of p; D^0 is the
+    identity, D^-1 the integral from lower (finite; ignored otherwise) to x."""
 
     coeff: np.ndarray
-    action: str
     order: int = 0
     lower: float = 0.0
 
     def __post_init__(self):
         self.coeff = _trim_poly(self.coeff)
-        if self.action not in _ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}, expected one of {_ACTIONS}")
-        if self.action == "derivative":
-            if self.order < 1:
-                raise ValueError(f"derivative order must be >= 1, got {self.order}")
-        elif self.order != 0:
-            raise ValueError(f"order is only meaningful for derivative terms, got {self.order}")
-        if self.action == "volterra" and not np.isfinite(self.lower):
+        if self.order < -1:
+            raise ValueError(f"operator order must be >= -1, got {self.order}")
+        if self.order == -1 and not np.isfinite(self.lower):
             raise ValueError("volterra lower limit must be finite")
 
     @property
@@ -97,17 +91,17 @@ class OperatorTerm:
 
 
 def derivative_term(coeff, order: int = 1) -> OperatorTerm:
-    return OperatorTerm(coeff=np.asarray(coeff, dtype=np.float64), action="derivative", order=order)
+    if order < 1:
+        raise ValueError(f"derivative order must be >= 1, got {order}")
+    return OperatorTerm(coeff, order)
 
 
 def identity_term(coeff) -> OperatorTerm:
-    return OperatorTerm(coeff=np.asarray(coeff, dtype=np.float64), action="identity")
+    return OperatorTerm(coeff, 0)
 
 
 def volterra_term(coeff, lower: float) -> OperatorTerm:
-    return OperatorTerm(
-        coeff=np.asarray(coeff, dtype=np.float64), action="volterra", lower=float(lower)
-    )
+    return OperatorTerm(coeff, -1, float(lower))
 
 
 @dataclass(frozen=True)
@@ -208,17 +202,9 @@ class TauSolution:
 
 
 def operator_height(terms) -> int:
-    """How far the operator can raise coefficient indices: the section is
-    built with n+1+h rows so no reachable row is lost."""
-    h = 0
-    for t in terms:
-        if t.action == "derivative":
-            h = max(h, t.degree - t.order)
-        elif t.action == "identity":
-            h = max(h, t.degree)
-        else:
-            h = max(h, t.degree + 1)
-    return h
+    """How far the operator can raise coefficient indices, max(deg p - k):
+    the section is built with n+1+h rows so no reachable row is lost."""
+    return max([0, *(t.degree - t.order for t in terms)])
 
 
 def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int) -> np.ndarray:
@@ -256,16 +242,14 @@ def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int) -> np
 def assemble_pi(problem: TauProblem) -> np.ndarray:
     """Operator section Pi of shape (n+1+h, n+1): Pi @ a holds the
     nu-coefficients of L[u_n]."""
-    n = problem.degree
+    n, basis = problem.degree, problem.basis
     h = operator_height(problem.operator)
     s = n + 1 + h
-    recurrence = recurrence_arrays(problem.basis, s + 1)
-    orders = {t.order for t in problem.operator if t.action == "derivative"}
-    powers = _derivative_table(*recurrence, s, orders) if orders else {}
+    recurrence = recurrence_arrays(basis, s + 1)
+    orders = {t.order for t in problem.operator if t.order > 0}
+    powers = _derivative_table(*recurrence, s, orders) if orders else {}  # I = D^0: None
     terms = [
-        (t.coeff, volterra_matrix(problem.basis, s, t.lower))
-        if t.action == "volterra"
-        else (t.coeff, powers.get(t.order))  # identity terms have order 0: None
+        (t.coeff, volterra_matrix(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
         for t in problem.operator
     ]
     return _poly_in_shift(recurrence, terms, (s, n + 1), h)
@@ -301,8 +285,9 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     lets alternative section builders reuse the row selection and solve.
 
     Raises SingularMatrixError on an exactly singular system and
-    NonFiniteSolutionError when the coefficients or the condition estimate
-    come out NaN or infinite.
+    NonFiniteSolutionError, before factoring, on a Tau system holding NaN or
+    infinity, and after it when the coefficients, the residual tail or the
+    condition estimate come out NaN or infinite.
     """
     n = problem.degree
     m_c = len(problem.conditions)
@@ -318,10 +303,13 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     t[:m_c] = cond_rows
     t[m_c:] = pi[:keep]
     b = np.concatenate([[cond.target for cond in problem.conditions], f_nu[:keep]])
+    row_max = np.max(np.abs(t), axis=1)
+    if not np.all(np.isfinite(row_max)):
+        raise NonFiniteSolutionError("Tau system is not finite")
     # Scale each row by the power of two that brings its largest magnitude
     # into [1, 2): exact in both precisions, and it keeps Laguerre condition
     # rows (~1e13) from spoiling the factors the refinement contracts with.
-    shift = 1 - np.frexp(np.max(np.abs(t), axis=1))[1]
+    shift = 1 - np.frexp(row_max)[1]
     np.ldexp(t, shift[:, None], out=t)
     np.ldexp(b, shift, out=b)
     cond_rows = np.ldexp(cond_rows, shift[:m_c, None])
@@ -330,16 +318,14 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     coeffs_ext = _refine(t, b, factors, lu_solve_factored(factors, b), cond_rows)
     if not np.all(np.isfinite(coeffs_ext)):
         raise NonFiniteSolutionError("solution coefficients are not finite")
+    tail = pi[keep:] @ np.asarray(coeffs_ext, dtype=np.float64) - f_nu[keep:]
+    if not np.all(np.isfinite(tail)):
+        raise NonFiniteSolutionError("residual tail is not finite")
     cond_estimate = cond_estimate_factored(factors, norm1)
     if not math.isfinite(cond_estimate):
         raise NonFiniteSolutionError("condition estimate is not finite")
     diags = Diagnostics(cond_estimate=cond_estimate, growth=factors.growth, height=h)
-    return TauSolution(
-        basis=problem.basis,
-        diagnostics=diags,
-        coeffs_extended=coeffs_ext,
-        residual_tail=pi[keep:] @ np.asarray(coeffs_ext, dtype=np.float64) - f_nu[keep:],
-    )
+    return TauSolution(problem.basis, diags, coeffs_extended=coeffs_ext, residual_tail=tail)
 
 
 def _residual_blocks(t: np.ndarray, cond_rows: np.ndarray) -> list:

@@ -335,7 +335,7 @@ def test_polynomial_exactness():
         if amplification > 1e4:
             continue
 
-        m_c = max((t.order for t in terms if t.action == "derivative"), default=0)
+        m_c = max((t.order for t in terms if t.order > 0), default=0)
         conditions = []
         for x in np.linspace(lo, hi, m_c + 2)[:m_c]:
             tab = eval_basis_derivs(basis, n, float(x))

@@ -229,11 +229,21 @@ def test_volterra_requires_lower(tmp_path):
     assert main(["solve", cfg_path, "-o", str(tmp_path / "out.csv")]) == 2
 
 
-def test_identity_rejects_order(tmp_path):
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["operator"][1]["order"] = 2
-    cfg_path = _write_config(tmp_path, cfg)
-    assert main(["solve", cfg_path, "-o", str(tmp_path / "out.csv")]) == 2
+def test_identity_rejects_order(tmp_path, capsys):
+    # "order" is allowed only on derivative terms; "lower" only on volterra ones.
+    violations = [
+        {"action": "identity", "coeff": [-1.0], "order": 2},
+        {"action": "volterra", "coeff": [1.0], "lower": -1.0, "order": 1},
+        {"action": "derivative", "coeff": [1.0], "lower": 0.0},
+        {"action": "identity", "coeff": [-1.0], "lower": 0.0},
+    ]
+    for term in violations:
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["operator"][1] = term
+        out_path = tmp_path / "out.csv"
+        assert main(["solve", _write_config(tmp_path, cfg), "-o", str(out_path)]) == 2, term
+        assert f"config error: {term['action']} term does not take" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 def test_solve_with_reference_column(tmp_path):
@@ -482,6 +492,27 @@ BAD_INPUTS = {
     "opmatrix-overflow": (
         ["opmatrix", "--kind", "volterra", "--lower", "1e300", "--size", "8", "-o", "{out}"],
         None,
+        3,
+    ),
+    "opmatrix-lower-nan": (
+        ["opmatrix", "--kind", "volterra", "--lower=nan", "--size", "8", "-o", "{out}"],
+        None,
+        2,
+    ),
+    "opmatrix-lower-inf": (
+        ["opmatrix", "--kind", "volterra", "--lower=inf", "--size", "8", "-o", "{out}"],
+        None,
+        2,
+    ),
+    # Only the tail rows of the section overflow: the square system is finite.
+    "residual-tail-overflow": (
+        *_solve(
+            basis={"family": "laguerre"},
+            degree=100,
+            operator=[{"action": "identity", "coeff": [0, 0, 0, 9e300]}],
+            rhs={"coeff": [1]},
+            grid={"start": 0, "stop": 1, "count": 3},
+        ),
         3,
     ),
     "condition-deriv-300-at-degree-400": (

@@ -1,5 +1,6 @@
 """System assembly, the square Tau solve, and the perturbation tail."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from tau_spectra.opmatrix import (
 from tau_spectra.oracles import volterra_exact, volterra_forcing
 from tau_spectra.tau import (
     NonFiniteSolutionError,
+    OperatorTerm,
     TauProblem,
     assemble_pi,
     condition_row,
@@ -65,6 +67,8 @@ def test_operator_height_examples():
     assert operator_height(
         [identity_term([-(a**3), 3 * a * a, -3 * a, 1.0]), volterra_term([1.0], lower=-1.0)]
     ) == 3
+    assert operator_height([derivative_term([1.0], 2)]) == 0
+    assert operator_height([volterra_term([0, 0, 1.0], -1)]) == 3
 
 
 def test_term_validation():
@@ -74,6 +78,10 @@ def test_term_validation():
         identity_term([])
     with pytest.raises(ValueError):
         volterra_term([1.0], lower=np.inf)
+    with pytest.raises(ValueError):
+        OperatorTerm([1.0], -2)
+    with pytest.raises(ValueError):
+        OperatorTerm([1.0], -1, math.inf)
 
 
 def test_assemble_pi_first_order():
@@ -433,9 +441,9 @@ def _dense_pi(problem):
     recurrence = recurrence_arrays(problem.basis, s + 1)
     terms = []
     for term in problem.operator:
-        if term.action == "volterra":
+        if term.order < 0:
             a_mat = volterra_matrix(problem.basis, s, term.lower)
-        elif term.action == "derivative":
+        elif term.order > 0:
             a_mat = _derivative_table(*recurrence, s, (term.order,))[term.order]
         else:
             a_mat = None
@@ -521,11 +529,35 @@ def test_banded_residual_equals_full_extended_product(problem, monkeypatch):
         assert np.array_equal(np.signbit(banded), np.signbit(full))
 
 
+# Rows 0..148 of the 152-row section of this problem enter the square system
+# below its two condition rows; rows 149..151 are the residual tail.
+NON_FINITE_PROBLEM = airy_problem(LEG, 150, 1e-3)
+SYSTEM_POSITIONS = ((0, 0), (40, 100), (148, 140))
+TAIL_POSITION = (150, 149)
+
+
+def _section_with(position, value):
+    pi = assemble_pi(NON_FINITE_PROBLEM)
+    pi[position] = value
+    return pi
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_section_is_a_numerical_failure(value):
-    problem = airy_problem(LEG, 150, 1e-3)
-    for i, j in ((0, 0), (40, 100), (148, 140)):
-        pi = assemble_pi(problem)
-        pi[i, j] = value
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteSolutionError):
-            solve_tau_system(problem, pi)
+    for position in (*SYSTEM_POSITIONS, TAIL_POSITION):
+        pi = _section_with(position, value)
+        match = "residual tail" if position == TAIL_POSITION else None
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteSolutionError, match=match):
+            solve_tau_system(NON_FINITE_PROBLEM, pi)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_system_fails_before_factoring(value, monkeypatch):
+    def no_factoring(t):
+        raise AssertionError("lu_factor ran on a non-finite Tau system")
+
+    monkeypatch.setattr(tau, "lu_factor", no_factoring)
+    for position in SYSTEM_POSITIONS:
+        pi = _section_with(position, value)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteSolutionError, match="Tau system"):
+            solve_tau_system(NON_FINITE_PROBLEM, pi)
