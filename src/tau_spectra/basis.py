@@ -30,7 +30,6 @@ __all__ = [
     "recurrence_arrays",
     "eval_basis_derivs",
     "clenshaw",
-    "norms_sq",
     "change_of_basis",
 ]
 
@@ -47,22 +46,6 @@ class RecurrenceBasis:
     alpha: float = math.nan  # Jacobi weight exponents (unused otherwise)
     beta: float = math.nan
     coeff_fn: Callable[[int], tuple[float, float, float]] | None = None
-    custom_mu0: float = math.nan
-
-    @property
-    def mu0(self) -> float:
-        """Squared norm of nu_0, i.e. the total mass of the weight."""
-        if self.family == "jacobi":
-            g = self.alpha + self.beta
-            return math.exp(
-                (g + 1.0) * math.log(2.0)
-                + math.lgamma(self.alpha + 1.0)
-                + math.lgamma(self.beta + 1.0)
-                - math.lgamma(g + 2.0)
-            )
-        if self.family == "laguerre":
-            return 1.0
-        return self.custom_mu0
 
     def label(self) -> str:
         if self.family == "jacobi":
@@ -84,16 +67,16 @@ def laguerre() -> RecurrenceBasis:
     return RecurrenceBasis(family="laguerre")
 
 
-def custom(coeff_fn: Callable[[int], tuple[float, float, float]], mu0: float) -> RecurrenceBasis:
+def custom(coeff_fn: Callable[[int], tuple[float, float, float]]) -> RecurrenceBasis:
     """Basis defined by a callback j -> (alpha_j, beta_j, gamma_j)."""
-    return RecurrenceBasis(family="custom", coeff_fn=coeff_fn, custom_mu0=float(mu0))
+    return RecurrenceBasis(family="custom", coeff_fn=coeff_fn)
 
 
 def monomial() -> RecurrenceBasis:
-    """The powers x^j: alpha_j = 1, beta_j = gamma_j = 0.  Not orthogonal,
-    so norms_sq rejects it; the classic change-of-basis route builds its
-    operator sections in this basis."""
-    return custom(lambda j: (1.0, 0.0, 0.0), mu0=math.nan)
+    """The powers x^j: alpha_j = 1, beta_j = gamma_j = 0.  Not orthogonal;
+    the classic change-of-basis route builds its operator sections in this
+    basis."""
+    return custom(lambda j: (1.0, 0.0, 0.0))
 
 
 def recurrence_arrays(
@@ -191,24 +174,6 @@ def clenshaw(basis: RecurrenceBasis, coeffs, x):
     if xs.ndim == 0:
         return float(vals[0])
     return vals.reshape(xs.shape)
-
-
-def norms_sq(basis: RecurrenceBasis, n: int) -> np.ndarray:
-    """Squared norms ||nu_k||^2 for k = 0..n via the ratio recurrence.
-
-    Orthogonality gives <x nu_j, nu_{j+1}> = alpha_j ||nu_{j+1}||^2
-    = gamma_{j+1} ||nu_j||^2, hence the ratio gamma_{j+1}/alpha_j.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    alpha, _, gamma = recurrence_arrays(basis, n + 2)
-    out = np.empty(n + 1)
-    out[0] = basis.mu0
-    for j in range(n):
-        out[j + 1] = out[j] * (gamma[j + 1] / alpha[j])
-    if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
-        raise BasisValidityError("computed squared norms must be finite and positive")
-    return out
 
 
 def change_of_basis(basis: RecurrenceBasis, n: int) -> np.ndarray:

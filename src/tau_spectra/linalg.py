@@ -20,9 +20,10 @@ diagonal, so getrf takes the diagonal entry as the pivot, forms zero
 multipliers and leaves the block as its own U; getrs then solves with an
 identity L and runs plain back substitution with that U.
 
-solve_upper_triangular keeps its per-row loop.  It serves only the
-change-of-basis comparison route, whose low-degree agreement test sits
-within roundoff of its bound, so that route keeps its exact rounding.
+solve_upper_triangular keeps its per-row loop.  It serves the integral
+matrices of custom bases and the change-of-basis comparison route, whose
+low-degree agreement test sits within roundoff of its bound, so it keeps
+its exact rounding.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ b_j nu_j' + c_j nu_{j-1}' (Hahn 1935, Math. Z. 39; Al-Salam & Chihara 1972,
 SIAM J. Math. Anal. 3), so theta is tridiagonal below row 0 and rows j-1 and
 j-2 of eta @ theta = I give b_j and c_j from three superdiagonals of eta,
 which are built alone, in O(s).
-Custom bases, the monomials among them, need not obey it and keep the back
-substitution theta[i+1, j] = -(alpha[i]/(i+1)) * sum_{k=i+2}^{j+1}
-eta[i, k]*theta[k, j], i = j-1 .. 0.
+Custom bases, the monomials among them, need not obey it: their theta[1:]
+solves eta[:s, 1:] @ theta[1:] = I by the back substitution similarity_pi
+uses (linalg.solve_upper_triangular), in O(s^3).
 
 Truncation never corrupts stored entries: integral and Volterra builds run
 the underlying recurrences one index larger internally, so every returned
@@ -153,9 +153,7 @@ def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
         theta[j[1:-1], j[2:]] = -(a[2:] * h3 + b[1:] * h2[: s - 2]) / h1[: s - 2]
         return theta
     eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
-    for i in range(s - 2, -1, -1):
-        acc = eta[i, i + 2 : s + 1] @ theta[i + 2 : s + 1, :]
-        theta[i + 1, i + 1 :] = (-alpha[i] / (i + 1)) * acc[i + 1 :]
+    theta[1:] = solve_upper_triangular(eta[:s, 1:], np.eye(s))
     return theta
 
 

@@ -210,6 +210,14 @@ def volterra_exact(a: float, x: float) -> float:
 _AIRY_EPS_MIN = 1e-3  # series cancellation destroys accuracy below this
 
 
+def _horner(c: np.ndarray, xs):
+    """sum_k c[k] * xs**k by Horner's rule, per point bitwise for an array xs."""
+    acc = np.zeros(np.shape(xs))[()]
+    for v in c[::-1]:
+        acc = acc * xs + v
+    return acc
+
+
 @functools.lru_cache(maxsize=32)
 def _airy_series_coeffs(epsilon: float) -> np.ndarray:
     """Maclaurin coefficients of the solution of eps*y'' = x*y, y(+-1) = 1.
@@ -239,15 +247,8 @@ def _airy_series_coeffs(epsilon: float) -> np.ndarray:
         raise ValueError(f"series for epsilon={epsilon} did not settle within {limit} terms")
     y1 = np.array(c1)
     y2 = np.array(c2)
-
-    def horner(c, x):
-        acc = 0.0
-        for v in c[::-1]:
-            acc = acc * x + v
-        return acc
-
-    p, q = horner(y1, -1.0), horner(y2, -1.0)
-    r, t = horner(y1, 1.0), horner(y2, 1.0)
+    p, q = _horner(y1, -1.0), _horner(y2, -1.0)
+    r, t = _horner(y1, 1.0), _horner(y2, 1.0)
     det = p * t - q * r
     if det == 0.0:
         raise ValueError(f"boundary system is singular for epsilon={epsilon}")
@@ -276,7 +277,5 @@ def airy_bvp_reference(epsilon: float, x, deriv: int = 0):
         if c.shape[0] == 0:
             break
     xs = np.asarray(x, dtype=np.float64)[()]
-    acc = np.zeros(xs.shape)[()]
-    for v in c[::-1]:
-        acc = acc * xs + v
+    acc = _horner(c, xs)
     return float(acc) if xs.ndim == 0 else acc

@@ -14,7 +14,6 @@ from tau_spectra.basis import (
     eval_basis_derivs,
     jacobi,
     laguerre,
-    norms_sq,
     recurrence_arrays,
 )
 
@@ -148,16 +147,6 @@ def test_clenshaw_extended_agrees_with_double(basis):
     assert np.max(np.abs(plain - extended)) <= 1e-11 * scale
 
 
-def test_norms_sq_legendre():
-    out = norms_sq(jacobi(0.0, 0.0), 50)
-    for k in range(51):
-        assert out[k] == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
-
-
-def test_norms_sq_laguerre_is_unit():
-    assert np.allclose(norms_sq(laguerre(), 20), 1.0, rtol=1e-13)
-
-
 def test_eval_basis_values_at_one():
     vals = eval_basis_derivs(jacobi(0.0, 0.0), 10, 1.0)[0]
     assert np.allclose(vals, 1.0, rtol=1e-14)
@@ -239,7 +228,7 @@ def test_custom_basis_runs_via_callback():
             return (1.0, 0.0, 0.0)
         return (0.5, 0.0, 0.5)
 
-    basis = custom(cheb, mu0=math.pi)
+    basis = custom(cheb)
     xs = np.linspace(-1.0, 1.0, 11)
     for x in xs:
         vals = eval_basis_derivs(basis, 6, x)[0]
@@ -247,7 +236,7 @@ def test_custom_basis_runs_via_callback():
 
 
 def test_custom_basis_bad_coefficient_rejected():
-    bad = custom(lambda j: (0.0, 0.0, 0.0), mu0=1.0)
+    bad = custom(lambda j: (0.0, 0.0, 0.0))
     with pytest.raises(BasisValidityError):
         recurrence_arrays(bad, 3)
 
@@ -261,7 +250,7 @@ def test_custom_basis_nonfinite_coefficient_rejected(which, value):
             out[which] = value
         return tuple(out)
 
-    bad = custom(coeffs, mu0=math.pi)
+    bad = custom(coeffs)
     recurrence_arrays(bad, 2)
     with pytest.raises(BasisValidityError):
         recurrence_arrays(bad, 3)

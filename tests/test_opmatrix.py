@@ -123,7 +123,7 @@ def _as_custom(basis, count):
     """The same recurrence behind a callback, so the operational matrices
     take the generic back substitution instead of the structure relation."""
     alpha, beta, gamma = recurrence_arrays(basis, count)
-    return custom(lambda j: (alpha[j], beta[j], gamma[j]), basis.mu0)
+    return custom(lambda j: (alpha[j], beta[j], gamma[j]))
 
 
 @pytest.mark.parametrize("s", [300, 1004])
@@ -136,6 +136,21 @@ def test_structure_relation_matches_back_substitution(basis, s):
         reference = build(generic, s, *extra)
         scale = np.max(np.abs(reference), axis=0)
         assert np.all(np.abs(classical - reference) <= 1e-12 * scale), build.__name__
+
+
+@pytest.mark.parametrize("s", [2, 3, 60, 300])
+def test_monomial_matrices_are_their_closed_forms(s):
+    # x * x^j = x^{j+1}, (x^{j+1})' = (j+1) x^j, integral of x^j = x^{j+1}/(j+1):
+    # the custom route, back substitution included, lands on them bit for bit
+    j = np.arange(s - 1)
+    shift, deriv, theta = np.zeros((3, s, s))
+    shift[j + 1, j] = 1.0
+    deriv[j, j + 1] = j + 1.0
+    theta[j + 1, j] = 1.0 / (j + 1.0)
+    basis = monomial()
+    assert np.array_equal(shift_matrix(basis, s), shift)
+    assert np.array_equal(derivative_matrix(basis, s), deriv)
+    assert np.array_equal(integral_matrix(basis, s), theta)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 300, 1005])
