@@ -15,10 +15,17 @@ is how far the operator can raise coefficient indices, so the section holds
 every row the degree-n image can touch.  One recurrence pass builds every
 power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
+On the Laguerre basis xD is upper bidiagonal, so a term whose p is divisible
+by x^k, p = x^k q, enters the chain as q(M) * (x^k D^k), a band of width k
+built from two diagonals of xD; the Bessel section is pentadiagonal and needs
+no H^k at all.  Every other term keeps H^k.
+
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
-a column block can reach, and the extended-precision refinement residual
-skips the zeros left of each row block's first nonzero column.
+a column block can reach: at most h below the block, and, when every term's
+matrix is banded, at most the widest upper band plus the chain's degree
+above it.  The extended-precision refinement residual skips the zeros left
+of each row block's first nonzero column.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
 from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored
-from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, volterra_matrix
+from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, _xd_powers, volterra_matrix
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -207,36 +214,49 @@ def operator_height(terms) -> int:
     return max([0, *(t.degree - t.order for t in terms)])
 
 
-def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int) -> np.ndarray:
+def _poly_in_shift(
+    recurrence, terms, shape: tuple[int, int], height: int, upper: int
+) -> np.ndarray:
     """Sum of p(M) @ A over the (p, A) terms (A = None for the identity),
     with M the shift of the recurrence arrays (alpha, beta, gamma), by one
     Horner chain: from the top degree down, t <- M t + sum of p_k A.
 
     height bounds how far any term raises indices (deg p plus the lower
     bandwidth of A), so columns j < c1 of every partial sum vanish below row
-    c1 + height.  The chain runs on blocks of _BLOCK columns, each cut
-    to those rows; the rows below are exact zeros of the full chain and stay
-    zero here.  shape has at least as many rows as columns, and each A at
-    least shape entries.
+    c1 + height.  upper bounds the upper bandwidth of every A, so columns
+    j >= c0 vanish above row c0 - upper - top, top the degree of the chain.
+    The chain runs on blocks of _BLOCK columns, each cut to the rows between
+    those bounds; the rows outside are exact zeros of the full chain and
+    stay zero here.  shape has at least as many rows as columns, and each A
+    at least shape entries.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
     out = np.zeros(shape)
     for c0 in range(0, cols, _BLOCK):
         c1 = min(c0 + _BLOCK, cols)
-        r = min(rows, c1 + height)
-        diag = (np.arange(c0, c1), np.arange(c1 - c0))
-        t = np.zeros((r, c1 - c0))
+        r0, r = max(0, c0 - upper - top), min(rows, c1 + height)
+        shift = [a[r0:] for a in recurrence]
+        diag = (np.arange(c0 - r0, c1 - r0), np.arange(c1 - c0))
+        t = np.zeros((r - r0, c1 - c0))
         for k in range(top, -1, -1):
             if k < top:
-                t = _shift_apply(*recurrence, t)
+                t = _shift_apply(*shift, t)
             for p, a_mat in terms:
                 if k < p.shape[0] and a_mat is None:
                     t[diag] += p[k]
                 elif k < p.shape[0]:
-                    t += p[k] * a_mat[:r, c0:c1]
-        out[:r, c0:c1] = t
+                    t += p[k] * a_mat[r0:r, c0:c1]
+        out[r0:r, c0:c1] = t
     return out
+
+
+def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
+    """k when term is x^k q(x) D^k (k >= 1) on the Laguerre basis, whose
+    x^k D^k is banded (_xd_powers); 0 for every term built from H^k."""
+    k = term.order
+    divisible = k >= 1 and term.degree >= k and not np.any(term.coeff[:k])
+    return k if divisible and basis.family == "laguerre" else 0
 
 
 def assemble_pi(problem: TauProblem) -> np.ndarray:
@@ -246,13 +266,21 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
     h = operator_height(problem.operator)
     s = n + 1 + h
     recurrence = recurrence_arrays(basis, s + 1)
-    orders = {t.order for t in problem.operator if t.order > 0}
-    powers = _derivative_table(*recurrence, s, orders) if orders else {}  # I = D^0: None
+    xd = [_xd_order(basis, t) for t in problem.operator]
+    banded = set(xd) - {0}
+    dense = {t.order for t, k in zip(problem.operator, xd) if t.order > 0 and not k}
+    factors = _xd_powers(*recurrence, s, banded) if banded else {}
+    powers = _derivative_table(*recurrence, s, dense) if dense else {}  # I = D^0: None
     terms = [
-        (t.coeff, volterra_matrix(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
-        for t in problem.operator
+        (t.coeff[k:], factors[k])
+        if k
+        else (t.coeff, volterra_matrix(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
+        for t, k in zip(problem.operator, xd)
     ]
-    return _poly_in_shift(recurrence, terms, (s, n + 1), h)
+    # Upper bandwidths: k for x^k D^k, 0 for I, the whole section for H^k
+    # and the Volterra matrix.
+    upper = max(s if t.order and not k else k for t, k in zip(problem.operator, xd))
+    return _poly_in_shift(recurrence, terms, (s, n + 1), h, upper)
 
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
@@ -263,7 +291,7 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d)[:, 0]
+    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d, 0)[:, 0]
 
 
 def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:

@@ -435,7 +435,8 @@ def test_solution_is_callable():
 
 def _dense_pi(problem):
     """Pi by the Horner chain over whole s x s arrays, every row of every
-    column: the reference the banded chain must match bit for bit."""
+    column, with H^k from the derivative table for every derivative term:
+    the reference the banded chain and the Laguerre xD route must match."""
     n = problem.degree
     s = n + 1 + operator_height(problem.operator)
     recurrence = recurrence_arrays(problem.basis, s + 1)
@@ -466,6 +467,13 @@ BANDED_PROBLEMS = {
     "bessel-laguerre-300": bessel_problem(10, 300),
     "airy-legendre-200": airy_problem(LEG, 200, 1e-3),
     "volterra-jacobi(1,-0.9)-120": _volterra_problem(jacobi(1.0, -0.9), 120),
+    "identity-jacobi(0.5,-0.5)-300": TauProblem(
+        basis=jacobi(0.5, -0.5),
+        operator=[identity_term([1.0, -2.0, 3.0])],
+        conditions=[],
+        rhs=[0.0],
+        degree=300,
+    ),
     "monomial-mixed-150": TauProblem(
         basis=monomial(),
         operator=[
@@ -483,6 +491,75 @@ BANDED_PROBLEMS = {
 @pytest.mark.parametrize("problem", BANDED_PROBLEMS.values(), ids=BANDED_PROBLEMS.keys())
 def test_banded_assembly_equals_dense_chain_bitwise(problem):
     assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+
+
+def _laguerre_problem(operator, n):
+    return TauProblem(basis=laguerre(), operator=operator, conditions=[], rhs=[0.0], degree=n)
+
+
+# 63, 64 and 65 put the last column at either side of a 64-column block edge.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 2000])
+def test_bessel_xd_route_equals_dense_route_bitwise(n):
+    problem = bessel_problem(10, n)
+    assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_xk_dk_route_equals_dense_route_bitwise(k):
+    for n in (k - 1, 4, 63, 64, 65, 300):  # xD at n = 0 is the 1 x 1 section
+        problem = _laguerre_problem([derivative_term([0.0] * k + [1.0], k)], n)
+        assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+
+
+def test_mixed_xd_and_dense_laguerre_terms_bitwise():
+    # x^2 D^2 takes the xD route and D^2 the H^2 table, so no row is cut.
+    operator = [derivative_term([0.0, 0.0, 1.0], 2), derivative_term([1.0], 2), identity_term([1.0])]
+    problem = _laguerre_problem(operator, 150)
+    assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+
+
+def test_non_integer_xd_coefficient_within_roundoff():
+    # The two routes round differently once a coefficient is not an integer:
+    # 2.6e-14 relative to the largest entry, measured at n = 300.
+    problem = _laguerre_problem([derivative_term([0.0, 0.0, 0.3], 2)], 300)
+    dense = _dense_pi(problem)
+    assert np.max(np.abs(assemble_pi(problem) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_xd_route_builds_no_derivative_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the derivative table was built")
+
+    expected = _dense_pi(bessel_problem(10, 200))
+    monkeypatch.setattr(tau, "_derivative_table", no_table)
+    assert assemble_pi(bessel_problem(10, 200)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        airy_problem(LEG, 200, 1e-3),
+        TauProblem(
+            basis=jacobi(1.0, -0.9),
+            operator=[derivative_term([0.0, 0.0, 1.0], 2), derivative_term([0.0, 1.0])],
+            conditions=[],
+            rhs=[0.0],
+            degree=150,
+        ),
+    ],
+    ids=["airy-legendre", "jacobi-x2d2-xd"],
+)
+def test_jacobi_sections_keep_the_derivative_table(problem, monkeypatch):
+    expected = _dense_pi(problem)
+    orders = []
+
+    def spy(alpha, beta, gamma, s, wanted):
+        orders.append(sorted(wanted))
+        return _derivative_table(alpha, beta, gamma, s, wanted)
+
+    monkeypatch.setattr(tau, "_derivative_table", spy)
+    assert assemble_pi(problem).tobytes() == expected.tobytes()
+    assert orders == [sorted({t.order for t in problem.operator if t.order > 0})]
 
 
 def test_project_rhs_follows_the_polynomial_degree():
