@@ -513,7 +513,9 @@ def cmd_condition_demo(args: argparse.Namespace) -> None:
         _write_lines(args.output, lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; no command may mutate its args."""
     parser = argparse.ArgumentParser(
         prog="tau-spectra",
         description="Tau-method solver driven by recurrence-built operational matrices",

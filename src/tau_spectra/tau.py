@@ -24,8 +24,8 @@ Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
 a column block can reach: at most h below the block, and, when every term's
 matrix is banded, at most the widest upper band plus the chain's degree
-above it.  The extended-precision refinement residual skips the zeros left
-of each row block's first nonzero column.
+above it.  The extended-precision refinement residual reads each row block
+only from its first to its last nonzero column.
 """
 
 from __future__ import annotations
@@ -331,7 +331,9 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     t[:m_c] = cond_rows
     t[m_c:] = pi[:keep]
     b = np.concatenate([[cond.target for cond in problem.conditions], f_nu[:keep]])
-    row_max = np.max(np.abs(t), axis=1)
+    # Row maxima and column sums of |t| are taken with no n x n temporary:
+    # freed ones made the peak RSS depend on where the allocator put them.
+    row_max = np.maximum(t.max(axis=1), -t.min(axis=1))
     if not np.all(np.isfinite(row_max)):
         raise NonFiniteSolutionError("Tau system is not finite")
     # Scale each row by the power of two that brings its largest magnitude
@@ -341,7 +343,10 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     np.ldexp(t, shift[:, None], out=t)
     np.ldexp(b, shift, out=b)
     cond_rows = np.ldexp(cond_rows, shift[:m_c, None])
-    norm1 = float(np.max(np.sum(np.abs(t), axis=0)))
+    col_sums = np.zeros(n + 1)
+    for row in t:
+        col_sums += np.abs(row)
+    norm1 = float(np.max(col_sums))
     factors = lu_factor(t)
     coeffs_ext = _refine(t, b, factors, lu_solve_factored(factors, b), cond_rows)
     if not np.all(np.isfinite(coeffs_ext)):
@@ -360,16 +365,19 @@ def _residual_blocks(t: np.ndarray, cond_rows: np.ndarray) -> list:
     """(rows, extended block, cols) triples that cover the nonzeros of t.
 
     The first m_c rows are the extended condition rows.  Below them, each
-    block of _BLOCK rows starts at its first nonzero column, and only that
-    part of t is converted to extended precision.  A section from
-    assemble_pi puts that column within m_c + h of the block's first row, so
-    about half of the square is left out.
+    block of _BLOCK rows is cut to the columns from its first to its last
+    nonzero, and only that part of t is converted to extended precision.  A
+    section from assemble_pi puts the first within m_c + h of the block's
+    first row; on a banded section the last is within the upper bandwidth of
+    its last row, so a residual costs O(n * (_BLOCK + bandwidth)), while a
+    dense upper triangle still reads whole rows.
     """
     m_c, n = cond_rows.shape[0], t.shape[0]
     blocks = [(slice(0, m_c), cond_rows, slice(0, n))]
     for r0 in range(m_c, n, _BLOCK):
         rows = slice(r0, min(r0 + _BLOCK, n))
-        cols = slice(int(np.argmax(t[rows].any(axis=0))), n)
+        nonzero = t[rows].any(axis=0)
+        cols = slice(int(np.argmax(nonzero)), n - int(np.argmax(nonzero[::-1])))
         blocks.append((rows, t[rows, cols].astype(np.longdouble), cols))
     return blocks
 

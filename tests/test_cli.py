@@ -170,6 +170,23 @@ def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
     assert len(checked) <= 1
 
 
+def test_parser_is_built_once_and_each_call_is_fresh(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    fig = tmp_path / "fig"
+    assert main(["bessel", "--degrees", "20", "30", "-o", str(fig)]) == 0
+    assert sorted(os.listdir(fig)) == ["bessel_m10_n20.csv", "bessel_m10_n30.csv"]
+    assert capsys.readouterr().out.startswith("n=20: sup error ")
+    with pytest.raises(SystemExit) as exc:
+        main(["bessel", "--degrees", "many", "-o", str(fig)])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["condition-demo", "-n", "10"]) == 0
+    assert capsys.readouterr().out.startswith("degree: 10\n")
+    assert cli._build_parser.cache_info().misses == 1
+    args = cli._build_parser().parse_args(["bessel", "-o", str(fig)])
+    assert (args.m, args.degrees) == (10, [500, 1000, 1500, 2000])
+
+
 def _violating(edit):
     cfg = copy.deepcopy(BASE_CONFIG)
     edit(cfg)
