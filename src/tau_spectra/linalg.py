@@ -95,28 +95,42 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def lu_factor(a) -> LUFactors:
-    """Factor a copy of a; raises SingularMatrixError on an exactly zero pivot."""
-    a = _as_square(a)
-    work = np.array(a, dtype=np.float64, order="C", copy=True)
+def lu_factor(a, overwrite: bool = False) -> LUFactors:
+    """Factor a copy of a, or with overwrite=True a itself (a writeable
+    C-ordered float64 array); raises SingularMatrixError on an exactly zero
+    pivot."""
+    work = _as_square(a)
+    if not overwrite:
+        work = np.array(work, order="C")
+    elif not (work is a and work.flags.c_contiguous and work.flags.writeable):
+        raise ValueError("overwrite=True needs a writeable C-ordered float64 array")
     maxa = float(np.maximum(work.max(), -work.min()))  # max|A|, no n x n temporary
     n = work.shape[0]
+    # Row i is zero left of column first[i], so column j is zero from row
+    # reach[j] down, reach[j] one past the last row with first <= j; row
+    # swaps and updates stay above reach, so the envelope holds throughout.
+    first = np.empty(n, dtype=np.int64)
+    for i in range(0, n, _BLOCK):
+        nonzero = work[i : i + _BLOCK] != 0.0
+        first[i : i + _BLOCK] = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n)
+    reach = np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(n), "right")
     piv = np.zeros(n, dtype=np.int64)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(work[k:, k])))
+        end = max(int(reach[k]), k + 1)
+        p = k + int(np.argmax(np.abs(work[k:end, k])))
         piv[k] = p
         if work[p, k] == 0.0:
             raise SingularMatrixError(k)
         if p != k:
             work[[k, p]] = work[[p, k]]
-        work[k + 1 :, k] /= work[k, k]
+        work[k + 1 :, k] /= work[k, k]  # below reach too: zeros keep the pivot's sign
         # A zero multiplier leaves its row unchanged, so the update stops at
         # the last nonzero one: below the band of a Tau matrix (m_c + h rows
         # under the diagonal) it would rewrite the trailing block for nothing.
-        nonzero = np.flatnonzero(work[k + 1 :, k])
+        nonzero = np.flatnonzero(work[k + 1 : end, k])
         if nonzero.size:
             end = k + 2 + int(nonzero[-1])
-            work[k + 1 : end, k + 1 :] -= np.outer(work[k + 1 : end, k], work[k, k + 1 :])
+            work[k + 1 : end, k + 1 :] -= work[k + 1 : end, k, None] * work[k, k + 1 :]
     # max|U| over blocks of _BLOCK rows, so no temporary is n x n
     blocks = range(0, n, _BLOCK)
     maxu = float(np.max([np.max(np.abs(np.triu(work[i : i + _BLOCK], i))) for i in blocks]))

@@ -136,22 +136,23 @@ def _derivative_superdiagonals(alpha, beta, gamma, s: int) -> tuple[np.ndarray, 
     return tuple(np.array(h[d]) for d in (1, 2, 3))
 
 
-def _xd_powers(alpha, beta, gamma, s: int, orders) -> dict[int, np.ndarray]:
-    """{k: x^k D^k} on an s-section for each k in orders, Laguerre basis only.
+def _xd_powers(alpha, beta, gamma, s: int, orders) -> dict[int, list]:
+    """{k: diagonals of x^k D^k} on an s-section for each k in orders,
+    Laguerre basis only: entry o of the list holds A[i, i+o], o = 0..k.
 
     There S = xD = M H is upper bidiagonal (x L_j' = j L_j - j L_{j-1}), and
     its two diagonals read only H's superdiagonals 1 and 2.  Each factor of
     x^k D^k = (S - (k-1) I) x^(k-1) D^(k-1) combines two neighbouring rows,
     so x^k D^k has upper bandwidth k and costs O(s k), with no matrix
-    product.  The entries are integers: any order of operations is exact.
+    product, and stays as its diagonals.  The entries are integers: any
+    order of operations is exact.
     """
     h1, h2, _ = _derivative_superdiagonals(alpha, beta, gamma, s)
     s0 = np.zeros(s)
     s0[1:] = alpha[: h1.shape[0]] * h1
     s1 = beta[: h1.shape[0]] * h1
     s1[1:] += alpha[: h2.shape[0]] * h2
-    band = [s0, s1]  # band[o][i] = A[i, i+o] for A = x^k D^k
-    idx = np.arange(s)
+    band = [s0, s1]
     powers = {}
     for k in range(1, max(orders) + 1):
         if k > 1:
@@ -161,9 +162,7 @@ def _xd_powers(alpha, beta, gamma, s: int, orders) -> dict[int, np.ndarray]:
             for o in range(1, len(band)):
                 band[o] += s1[: s - o] * prev[o - 1][1:]
         if k in orders:
-            powers[k] = np.zeros((s, s))
-            for o, d in enumerate(band):
-                powers[k][idx[: s - o], idx[o:]] = d
+            powers[k] = band
     return powers
 
 

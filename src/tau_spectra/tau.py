@@ -17,15 +17,16 @@ power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
 On the Laguerre basis xD is upper bidiagonal, so a term whose p is divisible
 by x^k, p = x^k q, enters the chain as q(M) * (x^k D^k), a band of width k
-built from two diagonals of xD; the Bessel section is pentadiagonal and needs
-no H^k at all.  Every other term keeps H^k.
+kept as its k + 1 diagonals, built from the two of xD; the Bessel section is
+pentadiagonal and needs no H^k at all.  Every other term keeps H^k.
 
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
 a column block can reach: at most h below the block, and, when every term's
 matrix is banded, at most the widest upper band plus the chain's degree
 above it.  The extended-precision refinement residual reads each row block
-only from its first to its last nonzero column.
+only from its first to its last nonzero column; with those blocks taken,
+the Tau matrix is factored in place, so a solve holds it and Pi, no copy.
 """
 
 from __future__ import annotations
@@ -217,9 +218,10 @@ def operator_height(terms) -> int:
 def _poly_in_shift(
     recurrence, terms, shape: tuple[int, int], height: int, upper: int
 ) -> np.ndarray:
-    """Sum of p(M) @ A over the (p, A) terms (A = None for the identity),
-    with M the shift of the recurrence arrays (alpha, beta, gamma), by one
-    Horner chain: from the top degree down, t <- M t + sum of p_k A.
+    """Sum of p(M) @ A over the (p, A) terms (A = None for the identity, a
+    list of diagonals A[i, i+o], o = 0, 1, ..., for a band), with M the shift
+    of the recurrence arrays (alpha, beta, gamma), by one Horner chain: from
+    the top degree down, t <- M t + sum of p_k A.
 
     height bounds how far any term raises indices (deg p plus the lower
     bandwidth of A), so columns j < c1 of every partial sum vanish below row
@@ -228,7 +230,8 @@ def _poly_in_shift(
     The chain runs on blocks of _BLOCK columns, each cut to the rows between
     those bounds; the rows outside are exact zeros of the full chain and
     stay zero here.  shape has at least as many rows as columns, and each A
-    at least shape entries.
+    at least shape entries.  A band enters a block as the diagonals that
+    cross it, zeros elsewhere: the full array's sum, bit for bit.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
@@ -238,17 +241,30 @@ def _poly_in_shift(
         r0, r = max(0, c0 - upper - top), min(rows, c1 + height)
         shift = [a[r0:] for a in recurrence]
         diag = (np.arange(c0 - r0, c1 - r0), np.arange(c1 - c0))
+        blocks = [_term_block(a_mat, r0, r, c0, c1) for _, a_mat in terms]
         t = np.zeros((r - r0, c1 - c0))
         for k in range(top, -1, -1):
             if k < top:
                 t = _shift_apply(*shift, t)
-            for p, a_mat in terms:
-                if k < p.shape[0] and a_mat is None:
+            for (p, _), blk in zip(terms, blocks):
+                if k < p.shape[0] and blk is None:
                     t[diag] += p[k]
                 elif k < p.shape[0]:
-                    t += p[k] * a_mat[r0:r, c0:c1]
+                    t += p[k] * blk
         out[r0:r, c0:c1] = t
     return out
+
+
+def _term_block(a_mat, r0: int, r: int, c0: int, c1: int):
+    """Rows r0..r-1, columns c0..c1-1 of a term's matrix: a slice of an
+    array, or the entries of a list of diagonals that fall in the block."""
+    if not isinstance(a_mat, list):
+        return None if a_mat is None else a_mat[r0:r, c0:c1]
+    blk = np.zeros((r - r0, c1 - c0))
+    for o, d in enumerate(a_mat):
+        i = np.arange(max(r0, c0 - o), min(r, c1 - o, d.shape[0]))
+        blk[i - r0, i + o - c0] = d[i]
+    return blk
 
 
 def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
@@ -342,13 +358,16 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     shift = 1 - np.frexp(row_max)[1]
     np.ldexp(t, shift[:, None], out=t)
     np.ldexp(b, shift, out=b)
-    cond_rows = np.ldexp(cond_rows, shift[:m_c, None])
+    blocks = _residual_blocks(t, np.ldexp(cond_rows, shift[:m_c, None]))
+    # Column sums of |t| by blocks of rows, each reduced under the running
+    # sum, so the rows are added in order, as np.sum(axis=0) adds them.
     col_sums = np.zeros(n + 1)
-    for row in t:
-        col_sums += np.abs(row)
+    for r0 in range(0, n + 1, _BLOCK):
+        col_sums = np.add.reduce(np.vstack([col_sums, np.abs(t[r0 : r0 + _BLOCK])]))
     norm1 = float(np.max(col_sums))
-    factors = lu_factor(t)
-    coeffs_ext = _refine(t, b, factors, lu_solve_factored(factors, b), cond_rows)
+    # t is read no more: its factors overwrite it
+    factors = lu_factor(t, overwrite=True)
+    coeffs_ext = _refine(blocks, b, factors, lu_solve_factored(factors, b))
     if not np.all(np.isfinite(coeffs_ext)):
         raise NonFiniteSolutionError("solution coefficients are not finite")
     tail = pi[keep:] @ np.asarray(coeffs_ext, dtype=np.float64) - f_nu[keep:]
@@ -392,21 +411,18 @@ def _residual(blocks: list, b_ext: np.ndarray, a_ext: np.ndarray) -> np.ndarray:
     return r
 
 
-def _refine(
-    t: np.ndarray, b: np.ndarray, factors, coeffs: np.ndarray, cond_rows: np.ndarray
-) -> np.ndarray:
+def _refine(blocks: list, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndarray:
     """Iterative refinement with the residual taken in extended precision.
 
     The raw LU forward error of a Laguerre system is visible in the solution
     even though every row residual is tiny; a few corrected steps recover
     the accuracy, provided the float64 factors contract the error, which
-    unscaled Laguerre condition rows prevent.  The condition rows are their
-    extended-precision values, scaled like t, so the fixed point satisfies
-    the accurate functionals, not their float64 images.  Cheap (one banded
-    matvec and one substitution per step) and a near no-op for
-    well-conditioned systems.
+    unscaled Laguerre condition rows prevent.  blocks, from _residual_blocks,
+    hold the row-scaled system with its condition rows in extended precision,
+    so the fixed point satisfies the accurate functionals, not their float64
+    images.  Cheap (one banded matvec and one substitution per step) and a
+    near no-op for well-conditioned systems.
     """
-    blocks = _residual_blocks(t, cond_rows)
     b_ext = b.astype(np.longdouble)
     a_ext = coeffs.astype(np.longdouble)
     last = math.inf

@@ -109,6 +109,29 @@ def test_band_limited_update_matches_full_update():
     assert factors.lu.tobytes() == full.tobytes()
 
 
+def test_overwrite_factors_the_array_itself():
+    rng = np.random.default_rng(39)
+    size = 70
+    a = rng.standard_normal((size, size))
+    rows, cols = np.indices(a.shape)
+    a[rows - cols > 4] = 0.0
+    before = a.copy()
+    copied = lu_factor(a)
+    assert a.tobytes() == before.tobytes()
+    work = a.copy()
+    in_place = lu_factor(work, overwrite=True)
+    assert in_place.lu is work
+    assert in_place.lu.tobytes() == copied.lu.tobytes()
+    assert np.array_equal(in_place.piv, copied.piv)
+    assert in_place.growth == copied.growth
+    read_only = a.copy()
+    read_only.flags.writeable = False
+    for bad in (np.asfortranarray(a), a[:, ::2][:35], read_only, a.astype(np.float32), a.tolist()):
+        with pytest.raises(ValueError):
+            lu_factor(bad, overwrite=True)
+    assert a.tobytes() == before.tobytes()
+
+
 def test_growth_is_largest_u_entry_over_largest_a_entry():
     rng = np.random.default_rng(40)
     graded = [rng.standard_normal((n, n)) * np.exp(rng.uniform(-30.0, 30.0, (n, 1))) for n in (1, 7, 60, 150)]
@@ -244,8 +267,9 @@ def test_blocked_solves_on_a_bessel_tau_matrix(monkeypatch):
     seen = {}
     real = tau.lu_factor
 
-    def spy(t):
-        seen["t"], seen["factors"] = t.copy(), real(t)
+    def spy(t, overwrite=False):
+        seen["t"] = t.copy()
+        seen["factors"] = real(t, overwrite=overwrite)
         return seen["factors"]
 
     monkeypatch.setattr(tau, "lu_factor", spy)

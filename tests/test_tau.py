@@ -171,13 +171,34 @@ def test_high_derivative_order_memory_is_bounded():
         degree=300,
     )
     s = 301
+    assert _traced(assemble_pi, problem)[1] < 8 * s * s * np.dtype(np.float64).itemsize
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, numpy's buffers
+    included."""
     tracemalloc.start()
     try:
-        assemble_pi(problem)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * s * s * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_bessel_assembly_holds_little_beyond_its_section(n):
+    # x^k D^k stays as its diagonals, so Pi is the only large array
+    pi, peak = _traced(assemble_pi, bessel_problem(10, n))
+    assert peak <= 1.25 * pi.nbytes
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_bessel_solve_holds_one_square_array(n):
+    # the Tau matrix is factored in place: no second (n+1)^2 copy
+    problem = bessel_problem(10, n)
+    pi = assemble_pi(problem)
+    peak = _traced(solve_tau_system, problem, pi)[1]
+    assert peak <= 1.75 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize(
@@ -574,14 +595,38 @@ def _refine_arguments(problem, monkeypatch):
     seen = {}
     real = tau._refine
 
-    def spy(t, b, factors, coeffs, cond_rows):
-        seen.update(t=t, b=b, coeffs=coeffs, cond_rows=cond_rows)
-        seen["refined"] = real(t, b, factors, coeffs, cond_rows)
+    def spy(blocks, b, factors, coeffs):
+        seen.update(blocks=blocks, b=b, coeffs=coeffs)
+        seen["refined"] = real(blocks, b, factors, coeffs)
         return seen["refined"]
 
     monkeypatch.setattr(tau, "_refine", spy)
     solve_tau(problem)
     return seen
+
+
+def _factored_matrix(monkeypatch):
+    """{"t": ...} filled with a copy of the Tau matrix the next solve factors
+    in place, taken before lu_factor overwrites it."""
+    seen = {}
+    real = tau.lu_factor
+
+    def spy(t, overwrite=False):
+        seen["t"] = t.copy()
+        return real(t, overwrite=overwrite)
+
+    monkeypatch.setattr(tau, "lu_factor", spy)
+    return seen
+
+
+def _extended_system(blocks) -> np.ndarray:
+    """T with its extended condition rows, rebuilt exactly from the residual
+    blocks: they cover every nonzero, and the first holds the condition rows."""
+    n = blocks[0][1].shape[1]
+    t_ext = np.zeros((n, n), dtype=np.longdouble)
+    for rows, t_blk, cols in blocks:
+        t_ext[rows, cols] = t_blk
+    return t_ext
 
 
 def _bandwidths(t, dense):
@@ -602,12 +647,14 @@ RESIDUAL_PROBLEMS = {
 
 @pytest.mark.parametrize("problem, dense", RESIDUAL_PROBLEMS.values(), ids=RESIDUAL_PROBLEMS.keys())
 def test_banded_residual_equals_full_extended_product(problem, dense, monkeypatch):
+    factored = _factored_matrix(monkeypatch)
     seen = _refine_arguments(problem, monkeypatch)
-    t, cond_rows = seen["t"], seen["cond_rows"]
+    t, blocks = factored["t"], seen["blocks"]
+    cond_rows = blocks[0][1]
     t_ext = t.astype(np.longdouble)
     t_ext[: cond_rows.shape[0]] = cond_rows
     b_ext = seen["b"].astype(np.longdouble)
-    blocks = tau._residual_blocks(t, cond_rows)
+    assert all(np.array_equal(t_blk, t[rows, cols]) for rows, t_blk, cols in blocks[1:])
     for rows, _, cols in blocks[1:]:
         assert not np.any(t[rows, : cols.start])
         assert not np.any(t[rows, cols.stop :])
@@ -638,8 +685,7 @@ def _discrete_forward_error(problem, monkeypatch):
     exactly; lu_solve at 50 digits stands in for the exact solution."""
     mpmath = pytest.importorskip("mpmath")
     seen = _refine_arguments(problem, monkeypatch)
-    t_ext = seen["t"].astype(np.longdouble)
-    t_ext[: seen["cond_rows"].shape[0]] = seen["cond_rows"]
+    t_ext = _extended_system(seen["blocks"])
 
     def exact(values):
         return [mpmath.mpf(p) / q for p, q in map(np.longdouble.as_integer_ratio, values)]
@@ -690,7 +736,7 @@ def test_non_finite_section_is_a_numerical_failure(value):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_system_fails_before_factoring(value, monkeypatch):
-    def no_factoring(t):
+    def no_factoring(t, overwrite=False):
         raise AssertionError("lu_factor ran on a non-finite Tau system")
 
     monkeypatch.setattr(tau, "lu_factor", no_factoring)
