@@ -1,14 +1,23 @@
-"""Dense linear algebra for column-convention coefficient systems.
+"""Linear algebra for column-convention coefficient systems.
 
-LU with partial pivoting (recording pivots and a growth-factor estimate),
-substitution for A x = b and A^T x = b from the same factors, back
-substitution, and a Hager-style 1-norm condition estimate.
+The Tau system is factored by an almost-banded QR in the style of Olver &
+Townsend, "A fast and well-conditioned spectral method" (SIAM Rev. 55,
+2013): a few dense rows C over a band.  Per block of _BLOCK columns, one
+LAPACK Householder QR runs on the rows the block reaches, and its rotation
+is applied to those rows, each held as an explicit part up to a common end
+column plus W @ C beyond it, so the fill the dense rows cause is never
+stored.  Solves of A x = b and A^T x = b run block by block: the rotation
+in compact WY form, one product for the explicit part of R, running sums of
+C x (or W^T x) for its fill, and the inverse of each triangular diagonal
+block of R, formed once per factorization.
 
-The factors are packed in place: after step k, row k holds U to the right of
-the diagonal and column k holds the multipliers of L below it, so P A = L U
-with the unit diagonal of L implied.  Substitution walks the same packed
-array: forward with L then backward with U for A x = b, and forward with U^T
-then backward with L^T (undoing the row swaps last) for A^T x = b.
+LU with partial pivoting (recording pivots and a growth-factor estimate)
+serves the condition estimate of general square matrices.  Its factors are
+packed in place: after step k, row k holds U to the right of the diagonal
+and column k holds the multipliers of L below it, so P A = L U with the
+unit diagonal of L implied.  Substitution walks the same packed array:
+forward with L then backward with U for A x = b, and forward with U^T then
+backward with L^T (undoing the row swaps last) for A^T x = b.
 
 These four triangular solves run one blocked kernel (Golub & Van Loan,
 Matrix Computations, section 3.1): per block of _BLOCK rows, one BLAS GEMV
@@ -24,11 +33,15 @@ solve_upper_triangular keeps its per-row loop.  It serves the integral
 matrices of custom bases and the change-of-basis comparison route, whose
 low-degree agreement test sits within roundoff of its bound, so it keeps
 its exact rounding.
+
+Both factorizations feed one Hager-style 1-norm condition estimate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +51,10 @@ __all__ = [
     "lu_factor",
     "lu_solve_factored",
     "lu_solve_transposed",
+    "QRFactors",
+    "qr_factor",
+    "qr_solve",
+    "qr_solve_transposed",
     "solve_upper_triangular",
     "cond_estimate_1",
     "cond_estimate_factored",
@@ -95,15 +112,15 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def lu_factor(a, overwrite: bool = False) -> LUFactors:
-    """Factor a copy of a, or with overwrite=True a itself (a writeable
-    C-ordered float64 array); raises SingularMatrixError on an exactly zero
-    pivot."""
-    work = _as_square(a)
-    if not overwrite:
-        work = np.array(work, order="C")
-    elif not (work is a and work.flags.c_contiguous and work.flags.writeable):
-        raise ValueError("overwrite=True needs a writeable C-ordered float64 array")
+def _reach(first: np.ndarray) -> np.ndarray:
+    """reach[j]: one past the last row i with first[i] <= j, the rows that
+    column j and every column before it can touch."""
+    return np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(first.shape[0]), "right")
+
+
+def lu_factor(a) -> LUFactors:
+    """Factor a copy of a; raises SingularMatrixError on an exactly zero pivot."""
+    work = np.array(_as_square(a), order="C")
     maxa = float(np.maximum(work.max(), -work.min()))  # max|A|, no n x n temporary
     n = work.shape[0]
     # Row i is zero left of column first[i], so column j is zero from row
@@ -113,7 +130,7 @@ def lu_factor(a, overwrite: bool = False) -> LUFactors:
     for i in range(0, n, _BLOCK):
         nonzero = work[i : i + _BLOCK] != 0.0
         first[i : i + _BLOCK] = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n)
-    reach = np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(n), "right")
+    reach = _reach(first)
     piv = np.zeros(n, dtype=np.int64)
     for k in range(n):
         end = max(int(reach[k]), k + 1)
@@ -171,7 +188,7 @@ def _substitute(a: np.ndarray, blocks, x: np.ndarray, upper: bool) -> np.ndarray
     return x
 
 
-def _rhs_copy(factors: LUFactors, b) -> np.ndarray:
+def _rhs_copy(factors, b) -> np.ndarray:
     x = np.array(b, dtype=np.float64, copy=True)
     if x.shape != (factors.size,):
         raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
@@ -197,6 +214,172 @@ def lu_solve_transposed(factors: LUFactors, b) -> np.ndarray:
     return out
 
 
+class _QRBlock(NamedTuple):
+    """Column block c0..c1-1 of an almost-banded QR.
+
+    Its rotation acts on rows c0..reach-1 as Q = I - v y^T, v the Householder
+    vectors and y = v T^T (LAPACK's compact WY form, T upper triangular).
+    Rows c0..c1-1 of R are r on columns c0..end-1 and fill @ C beyond, C
+    the dense rows; r_inv is the inverse of r[:, :c1 - c0], the upper
+    triangular diagonal block.
+    """
+
+    c0: int
+    c1: int
+    reach: int
+    end: int
+    v: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    fill: np.ndarray
+    r_inv: np.ndarray
+
+
+@dataclass
+class QRFactors:
+    """Q R = A for an almost-banded A: its first d rows C (dense) above rows
+    whose nonzeros stay near the diagonal.  growth is max|R| / max|A|."""
+
+    size: int
+    dense: np.ndarray
+    blocks: list
+    growth: float
+
+
+def _row_spans(blocks, n: int):
+    """First and last nonzero column of each row held by blocks; n and -1
+    for a zero row."""
+    first, last = np.full(n, n), np.full(n, -1)
+    for rows, vals, cols in blocks:
+        nonzero = vals != 0.0
+        some = nonzero.any(axis=1)
+        first[rows] = np.where(some, cols.start + nonzero.argmax(axis=1), n)
+        last[rows] = np.where(some, cols.stop - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+    return first, last
+
+
+def _gather(blocks, starts: list, i0: int, i1: int, c0: int, c1: int) -> np.ndarray:
+    """Rows i0..i1-1 and columns c0..c1-1 of the matrix blocks hold; starts
+    lists each block's first row, in increasing order."""
+    out = np.zeros((i1 - i0, c1 - c0))
+    for rows, vals, cols in blocks[max(bisect_right(starts, i0) - 1, 0) : bisect_left(starts, i1)]:
+        r0, r1 = max(rows.start, i0), min(rows.stop, i1)
+        j0, j1 = max(cols.start, c0), min(cols.stop, c1)
+        if r0 < r1 and j0 < j1:
+            out[r0 - i0 : r1 - i0, j0 - c0 : j1 - c0] = vals[
+                r0 - rows.start : r1 - rows.start, j0 - cols.start : j1 - cols.start
+            ]
+    return out
+
+
+def qr_factor(blocks, n: int) -> QRFactors:
+    """Householder QR of the n x n matrix held by blocks: (rows, values,
+    cols) triples of slices and arrays, in row order, each row in one block,
+    that cover every nonzero.  Raises SingularMatrixError at the first
+    exactly zero diagonal entry of R.
+
+    The first d rows are kept as C, d the number that makes the factors
+    smallest: on a Tau matrix its condition rows and any other dense rows
+    above a band, and none (d = 0) above a dense upper triangle, which is
+    stored explicitly.  Each block of _BLOCK columns runs one np.linalg.qr
+    on the rows its columns reach, and that rotation is applied to those
+    rows' explicit columns and to their coefficients W: a rotated row is its
+    explicit part up to a common end column and W @ C beyond.  The explicit
+    part ends past the last nonzero of every row the block holds, so on a
+    banded matrix it spans _BLOCK plus both bandwidths.
+    """
+    first, last = _row_spans(blocks, n)
+    starts = [rows.start for rows, _, _ in blocks]
+    # d minimizes the entries the factors hold per block of rows: an explicit
+    # part at most _BLOCK + u_d columns wide (u_d the upper bandwidth of the
+    # rows below d) and never past column n, plus d entries of W and of C.
+    upper = np.append(np.maximum.accumulate(np.maximum(last - np.arange(n), 0)[::-1])[::-1], 0)
+    c0 = np.arange(0, n, _BLOCK)
+    held = np.minimum(n - c0, _BLOCK + upper[:, None]).sum(axis=1) + 2 * c0.size * np.arange(n + 1)
+    d = int(np.argmin(held))
+    dense = _gather(blocks, starts, 0, d, 0, n)
+    reach = _reach(first)
+    maxa = max(float(np.max(np.abs(vals), initial=0.0)) for _, vals, _ in blocks)
+    maxr = 0.0
+    # rows carried from block to block: explicit columns c0..end-1, and W
+    work, coef = np.zeros((0, 0)), np.zeros((0, d))
+    top = end = 0
+    out = []
+    for c0 in range(0, n, _BLOCK):
+        c1 = min(c0 + _BLOCK, n)
+        k = c1 - c0
+        new_top = max(top, c1, int(reach[c1 - 1]))
+        new_end = max(end, c1, int(np.max(last[max(top, d) : new_top], initial=-1)) + 1)
+        work = np.vstack(
+            [np.hstack([work, coef @ dense[:, end:new_end]]), _gather(blocks, starts, top, new_top, c0, new_end)]
+        )
+        coef = np.vstack([coef, np.arange(top, new_top)[:, None] == np.arange(d)])
+        top, end = new_top, new_end
+        h, tau = np.linalg.qr(work[:, :k], mode="raw")
+        r = np.triu(h.T[:k])
+        zero = np.flatnonzero(np.diagonal(r) == 0.0)
+        if zero.size:
+            raise SingularMatrixError(c0 + int(zero[0]))
+        # T^{-1} = striu(V^T V) + diag(1 / tau) (Joffrain et al., ACM TOMS
+        # 32, 2006); tau = 0 marks an identity reflector, left out of V.
+        v = np.tril(h.T, -1)
+        v[range(k), range(k)] = 1.0
+        v[:, tau == 0.0] = 0.0
+        inv_t = np.triu(v.T @ v, 1)
+        inv_t[range(k), range(k)] = 1.0 / np.where(tau == 0.0, 1.0, tau)
+        y = v @ np.linalg.inv(inv_t).T
+        rest = np.hstack([work[:, k:], coef])
+        rest -= y @ (v.T @ rest)
+        width = end - c1
+        blk = _QRBlock(
+            c0, c1, top, end, v, y, np.hstack([r, rest[:k, :width]]), rest[:k, width:], np.linalg.inv(r)
+        )
+        fill = blk.fill @ dense[:, end:]
+        maxr = max(maxr, float(np.max(np.abs(blk.r))), float(np.max(np.abs(fill), initial=0.0)))
+        out.append(blk)
+        work, coef = rest[k:, :width], rest[k:, width:]
+    return QRFactors(size=n, dense=dense, blocks=out, growth=maxr / maxa if maxa > 0.0 else 1.0)
+
+
+def qr_solve(factors: QRFactors, b) -> np.ndarray:
+    """Solve A x = b from its QR: Q^T block by block, then R by back
+    substitution, its fill taken through running sums of C x."""
+    x = _rhs_copy(factors, b)
+    for blk in factors.blocks:
+        rows = x[blk.c0 : blk.reach]
+        rows -= blk.y @ (blk.v.T @ rows)
+    dense, start = factors.dense, factors.size
+    tail = np.zeros(dense.shape[0])  # C[:, start:] @ x[start:]
+    for blk in reversed(factors.blocks):
+        tail += dense[:, blk.end : start] @ x[blk.end : start]
+        start, k = blk.end, blk.c1 - blk.c0
+        rhs = x[blk.c0 : blk.c1] - blk.r[:, k:] @ x[blk.c1 : blk.end] - blk.fill @ tail
+        x[blk.c0 : blk.c1] = blk.r_inv @ rhs
+    return x
+
+
+def qr_solve_transposed(factors: QRFactors, b) -> np.ndarray:
+    """Solve A^T x = b from the QR of A: R^T by forward substitution, its
+    fill taken through running sums of W^T x, then Q block by block."""
+    x = _rhs_copy(factors, b)
+    dense, start = factors.dense, 0
+    # sum of fill^T x over the blocks solved; x[:start] has it subtracted
+    pending = np.zeros(dense.shape[0])
+    for blk in factors.blocks:
+        k = blk.c1 - blk.c0
+        stop = max(start, blk.c1)
+        x[start:stop] -= pending @ dense[:, start:stop]
+        z = x[blk.c0 : blk.c1] = blk.r_inv.T @ x[blk.c0 : blk.c1]
+        x[blk.c1 : blk.end] -= blk.r[:, k:].T @ z
+        x[stop : blk.end] -= pending @ dense[:, stop : blk.end]
+        start = blk.end
+        pending += blk.fill.T @ z
+    for blk in reversed(factors.blocks):
+        rows = x[blk.c0 : blk.reach]
+        rows -= blk.v @ (blk.y.T @ rows)
+    return x
+
+
 def solve_upper_triangular(u, b) -> np.ndarray:
     """Back substitution; b may be a vector or a matrix of columns."""
     u = _as_square(u)
@@ -216,21 +399,26 @@ def solve_upper_triangular(u, b) -> np.ndarray:
     return x[:, 0] if vec else x
 
 
-def cond_estimate_factored(factors: LUFactors, norm1: float) -> float:
-    """Condition estimate from existing factors and the 1-norm of the matrix:
-    norm1 times Hager's lower-bound iteration for ||A^{-1}||_1."""
+def cond_estimate_factored(factors, norm1: float) -> float:
+    """Condition estimate from existing factors (LUFactors or QRFactors) and
+    the 1-norm of the matrix: norm1 times Hager's lower-bound iteration for
+    ||A^{-1}||_1."""
+    if isinstance(factors, LUFactors):
+        solve, solve_transposed = lu_solve_factored, lu_solve_transposed
+    else:
+        solve, solve_transposed = qr_solve, qr_solve_transposed
     n = factors.size
     x = np.full(n, 1.0 / n)
     est = 0.0
     prev_sign = np.zeros(n)
     for _ in range(5):
-        y = lu_solve_factored(factors, x)
+        y = solve(factors, x)
         est = float(np.sum(np.abs(y)))
         sign = np.where(y >= 0.0, 1.0, -1.0)
         if np.array_equal(sign, prev_sign):
             break
         prev_sign = sign
-        z = lu_solve_transposed(factors, sign)
+        z = solve_transposed(factors, sign)
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= float(z @ x):
             break
@@ -240,7 +428,7 @@ def cond_estimate_factored(factors: LUFactors, norm1: float) -> float:
     # iteration stalling on unlucky starting points.
     if n > 1:
         i = np.arange(n)
-        y = lu_solve_factored(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
+        y = solve(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
         est = max(est, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
     est *= norm1
     if not np.isfinite(est):

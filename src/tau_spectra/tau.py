@@ -24,9 +24,14 @@ Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
 a column block can reach: at most h below the block, and, when every term's
 matrix is banded, at most the widest upper band plus the chain's degree
-above it.  The extended-precision refinement residual reads each row block
-only from its first to its last nonzero column; with those blocks taken,
-the Tau matrix is factored in place, so a solve holds it and Pi, no copy.
+above it.
+
+The square Tau matrix is never built.  It is read from the condition rows
+and Pi as blocks of rows, each cut to the columns from its first to its
+last nonzero; the almost-banded QR factors those blocks, keeping dense rows
+such as the condition rows apart, and the extended-precision refinement
+residual reads the same blocks.  On a banded section a solve so holds Pi
+and O(n * (64 + bandwidth)) more.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
-from .linalg import cond_estimate_factored, lu_factor, lu_solve_factored
+from .linalg import cond_estimate_factored, qr_factor, qr_solve
 from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, _xd_powers, volterra_matrix
 
 __all__ = [
@@ -343,31 +348,24 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     cond_rows = np.zeros((m_c, n + 1), dtype=np.longdouble)
     for i, cond in enumerate(problem.conditions):
         cond_rows[i] = condition_row(cond, problem.basis, n)
-    t = np.empty((n + 1, n + 1))
-    t[:m_c] = cond_rows
-    t[m_c:] = pi[:keep]
-    b = np.concatenate([[cond.target for cond in problem.conditions], f_nu[:keep]])
-    # Row maxima and column sums of |t| are taken with no n x n temporary:
-    # freed ones made the peak RSS depend on where the allocator put them.
-    row_max = np.maximum(t.max(axis=1), -t.min(axis=1))
+    blocks = _system_blocks(cond_rows.astype(np.float64), pi[:keep])
+    row_max = np.concatenate([np.max(np.abs(vals), axis=1) for _, vals, _ in blocks])
     if not np.all(np.isfinite(row_max)):
         raise NonFiniteSolutionError("Tau system is not finite")
     # Scale each row by the power of two that brings its largest magnitude
     # into [1, 2): exact in both precisions, and it keeps Laguerre condition
     # rows (~1e13) from spoiling the factors the refinement contracts with.
     shift = 1 - np.frexp(row_max)[1]
-    np.ldexp(t, shift[:, None], out=t)
-    np.ldexp(b, shift, out=b)
-    blocks = _residual_blocks(t, np.ldexp(cond_rows, shift[:m_c, None]))
-    # Column sums of |t| by blocks of rows, each reduced under the running
-    # sum, so the rows are added in order, as np.sum(axis=0) adds them.
+    b = np.ldexp(np.concatenate([[cond.target for cond in problem.conditions], f_nu[:keep]]), shift)
+    blocks = [(rows, np.ldexp(vals, shift[rows, None]), cols) for rows, vals, cols in blocks]
     col_sums = np.zeros(n + 1)
-    for r0 in range(0, n + 1, _BLOCK):
-        col_sums = np.add.reduce(np.vstack([col_sums, np.abs(t[r0 : r0 + _BLOCK])]))
+    for _, vals, cols in blocks:
+        col_sums[cols] += np.sum(np.abs(vals), axis=0)
     norm1 = float(np.max(col_sums))
-    # t is read no more: its factors overwrite it
-    factors = lu_factor(t, overwrite=True)
-    coeffs_ext = _refine(blocks, b, factors, lu_solve_factored(factors, b))
+    factors = qr_factor(blocks, n + 1)
+    # the refinement residual reads the condition rows unrounded
+    blocks[0] = (blocks[0][0], np.ldexp(cond_rows, shift[:m_c, None]), blocks[0][2])
+    coeffs_ext = _refine(blocks, b, factors, qr_solve(factors, b))
     if not np.all(np.isfinite(coeffs_ext)):
         raise NonFiniteSolutionError("solution coefficients are not finite")
     tail = pi[keep:] @ np.asarray(coeffs_ext, dtype=np.float64) - f_nu[keep:]
@@ -380,44 +378,43 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     return TauSolution(problem.basis, diags, coeffs_extended=coeffs_ext, residual_tail=tail)
 
 
-def _residual_blocks(t: np.ndarray, cond_rows: np.ndarray) -> list:
-    """(rows, extended block, cols) triples that cover the nonzeros of t.
-
-    The first m_c rows are the extended condition rows.  Below them, each
-    block of _BLOCK rows is cut to the columns from its first to its last
-    nonzero, and only that part of t is converted to extended precision.  A
-    section from assemble_pi puts the first within m_c + h of the block's
-    first row; on a banded section the last is within the upper bandwidth of
-    its last row, so a residual costs O(n * (_BLOCK + bandwidth)), while a
-    dense upper triangle still reads whole rows.
+def _system_blocks(top: np.ndarray, section: np.ndarray) -> list:
+    """(rows, values, cols) triples that hold the Tau matrix without building
+    it: the condition rows top over every column, then each block of _BLOCK
+    rows of the section cut to the columns from its first to its last
+    nonzero, as a view.  A section from assemble_pi puts the first within
+    m_c + h of the block's first row; on a banded section the last is within
+    the upper bandwidth of its last row, so the blocks hold O(n * (_BLOCK +
+    bandwidth)) entries, while a dense upper triangle still keeps whole rows.
     """
-    m_c, n = cond_rows.shape[0], t.shape[0]
-    blocks = [(slice(0, m_c), cond_rows, slice(0, n))]
-    for r0 in range(m_c, n, _BLOCK):
-        rows = slice(r0, min(r0 + _BLOCK, n))
-        nonzero = t[rows].any(axis=0)
+    m_c, n = top.shape
+    blocks = [(slice(0, m_c), top, slice(0, n))]
+    for r0 in range(0, section.shape[0], _BLOCK):
+        vals = section[r0 : r0 + _BLOCK]
+        nonzero = (vals != 0.0).any(axis=0)
         cols = slice(int(np.argmax(nonzero)), n - int(np.argmax(nonzero[::-1])))
-        blocks.append((rows, t[rows, cols].astype(np.longdouble), cols))
+        blocks.append((slice(m_c + r0, m_c + r0 + vals.shape[0]), vals[:, cols], cols))
     return blocks
 
 
 def _residual(blocks: list, b_ext: np.ndarray, a_ext: np.ndarray) -> np.ndarray:
-    """b - t a in extended precision from _residual_blocks.  The terms left
-    out are exact zeros, so each entry equals the full product's bit for
-    bit."""
+    """b - t a in extended precision from the blocks of _system_blocks; a
+    float64 block enters the product exactly, promoted to long double.  The
+    terms left out are exact zeros, so each entry equals the full product's
+    bit for bit."""
     r = np.empty_like(b_ext)
-    for rows, t_ext, cols in blocks:
-        r[rows] = b_ext[rows] - t_ext @ a_ext[cols]
+    for rows, t_blk, cols in blocks:
+        r[rows] = b_ext[rows] - t_blk @ a_ext[cols]
     return r
 
 
 def _refine(blocks: list, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndarray:
     """Iterative refinement with the residual taken in extended precision.
 
-    The raw LU forward error of a Laguerre system is visible in the solution
+    The raw forward error of a Laguerre system is visible in the solution
     even though every row residual is tiny; a few corrected steps recover
     the accuracy, provided the float64 factors contract the error, which
-    unscaled Laguerre condition rows prevent.  blocks, from _residual_blocks,
+    unscaled Laguerre condition rows prevent.  blocks, from _system_blocks,
     hold the row-scaled system with its condition rows in extended precision,
     so the fixed point satisfies the accurate functionals, not their float64
     images.  Cheap (one banded matvec and one substitution per step) and a
@@ -428,7 +425,7 @@ def _refine(blocks: list, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndar
     last = math.inf
     for _ in range(6):
         r = _residual(blocks, b_ext, a_ext)
-        corr = lu_solve_factored(factors, np.asarray(r, dtype=np.float64))
+        corr = qr_solve(factors, np.asarray(r, dtype=np.float64))
         step = float(np.max(np.abs(corr)))
         if not math.isfinite(step) or step == 0.0 or step >= last:
             break

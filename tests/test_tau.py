@@ -9,6 +9,7 @@ import pytest
 from tau_spectra import tau
 from tau_spectra.basis import (
     clenshaw,
+    custom,
     eval_basis_derivs,
     jacobi,
     laguerre,
@@ -194,11 +195,12 @@ def test_bessel_assembly_holds_little_beyond_its_section(n):
 
 @pytest.mark.parametrize("n", [500, 1000])
 def test_bessel_solve_holds_one_square_array(n):
-    # the Tau matrix is factored in place: no second (n+1)^2 copy
+    # the Tau matrix is read from Pi and factored by almost-banded QR: the
+    # solve allocates no (n+1)^2 array
     problem = bessel_problem(10, n)
     pi = assemble_pi(problem)
     peak = _traced(solve_tau_system, problem, pi)[1]
-    assert peak <= 1.75 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
+    assert peak < 1.0 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize(
@@ -605,18 +607,14 @@ def _refine_arguments(problem, monkeypatch):
     return seen
 
 
-def _factored_matrix(monkeypatch):
-    """{"t": ...} filled with a copy of the Tau matrix the next solve factors
-    in place, taken before lu_factor overwrites it."""
-    seen = {}
-    real = tau.lu_factor
-
-    def spy(t, overwrite=False):
-        seen["t"] = t.copy()
-        return real(t, overwrite=overwrite)
-
-    monkeypatch.setattr(tau, "lu_factor", spy)
-    return seen
+def _tau_matrix(problem) -> np.ndarray:
+    """The row-scaled Tau matrix, built densely: the condition rows rounded
+    to float64 above the leading rows of Pi, each row scaled by the power of
+    two that brings its largest magnitude into [1, 2)."""
+    m_c, n = len(problem.conditions), problem.degree
+    rows = [np.asarray(condition_row(c, problem.basis, n), dtype=np.float64) for c in problem.conditions]
+    t = np.vstack([*rows, assemble_pi(problem)[: n + 1 - m_c]])
+    return np.ldexp(t, 1 - np.frexp(np.max(np.abs(t), axis=1))[1][:, None])
 
 
 def _extended_system(blocks) -> np.ndarray:
@@ -647,9 +645,8 @@ RESIDUAL_PROBLEMS = {
 
 @pytest.mark.parametrize("problem, dense", RESIDUAL_PROBLEMS.values(), ids=RESIDUAL_PROBLEMS.keys())
 def test_banded_residual_equals_full_extended_product(problem, dense, monkeypatch):
-    factored = _factored_matrix(monkeypatch)
     seen = _refine_arguments(problem, monkeypatch)
-    t, blocks = factored["t"], seen["blocks"]
+    t, blocks = _tau_matrix(problem), seen["blocks"]
     cond_rows = blocks[0][1]
     t_ext = t.astype(np.longdouble)
     t_ext[: cond_rows.shape[0]] = cond_rows
@@ -677,6 +674,31 @@ def test_banded_residual_equals_full_extended_product(problem, dense, monkeypatc
         assert np.array_equal(np.signbit(banded), np.signbit(full))
 
 
+# Dense rows the factorization keeps apart: Bessel's two condition rows,
+# Volterra's row 0 (the lower limit of its integral); Airy's H^2 makes every
+# row dense above the diagonal, so every row is kept explicitly.
+DENSE_ROWS_KEPT = {"bessel-500": 2, "volterra-200": 1, "airy-200": 0}
+
+
+@pytest.mark.parametrize("name", DENSE_ROWS_KEPT)
+def test_tau_factor_keeps_only_the_dense_rows_apart(name, monkeypatch):
+    problem, kept = RESIDUAL_PROBLEMS[name][0], DENSE_ROWS_KEPT[name]
+    seen = {}
+    real = tau.qr_factor
+
+    def spy(blocks, n):
+        seen["factors"] = real(blocks, n)
+        return seen["factors"]
+
+    monkeypatch.setattr(tau, "qr_factor", spy)
+    solve_tau(problem)
+    factors = seen["factors"]
+    assert factors.dense.shape[0] == kept
+    t = _tau_matrix(problem)
+    lower, upper = _bandwidths(t, kept) if kept else (t.shape[0], t.shape[0])
+    assert max(blk.r.shape[1] for blk in factors.blocks) <= min(t.shape[0], tau._BLOCK + lower + upper)
+
+
 def _discrete_forward_error(problem, monkeypatch):
     """Normwise relative forward error of coeffs_extended against the exact
     solution of the row-scaled system solve_tau_system builds: T with its
@@ -697,16 +719,23 @@ def _discrete_forward_error(problem, monkeypatch):
         return float(err / max(abs(xi) for xi in x))
 
 
-# Forward errors measured when these bounds were set: 3.0e-13, 4.1e-17 and
-# 8.8e-20; with the refinement taking no step, 1.7e-9, 1.1e-13 and 1.8e-15.
+# Legendre through the custom-callback door: x P_j = (j+1)/(2j+1) P_{j+1}
+# + j/(2j+1) P_{j-1}, so its sections take the custom-basis routes.
+CUSTOM_LEG = custom(lambda j: ((j + 1) / (2 * j + 1), 0.0, j / (2 * j + 1)))
+
+
+# Forward errors measured when these bounds were set: 1.2e-13, 5.5e-17,
+# 8.8e-20 and 1.6e-19; with the refinement taking no step, 5.8e-9, 5.0e-12,
+# 4.8e-16 and 1.05e-15.
 @pytest.mark.parametrize(
     "problem, bound",
     [
         (bessel_problem(10, 60), 1e-11),
         (_volterra_problem(jacobi(1.0, -0.9), 100), 1e-14),
-        (airy_problem(LEG, 80, 1e-2), 1e-15),
+        (airy_problem(LEG, 80, 1e-2), 1e-17),
+        (airy_problem(CUSTOM_LEG, 60, 1e-2), 1e-17),
     ],
-    ids=["bessel-60", "volterra-100", "airy-80"],
+    ids=["bessel-60", "volterra-100", "airy-80", "custom-airy-60"],
 )
 def test_refined_solution_solves_its_discrete_system(problem, bound, monkeypatch):
     assert _discrete_forward_error(problem, monkeypatch) <= bound
@@ -736,10 +765,10 @@ def test_non_finite_section_is_a_numerical_failure(value):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_system_fails_before_factoring(value, monkeypatch):
-    def no_factoring(t, overwrite=False):
-        raise AssertionError("lu_factor ran on a non-finite Tau system")
+    def no_factoring(blocks, n):
+        raise AssertionError("qr_factor ran on a non-finite Tau system")
 
-    monkeypatch.setattr(tau, "lu_factor", no_factoring)
+    monkeypatch.setattr(tau, "qr_factor", no_factoring)
     for position in SYSTEM_POSITIONS:
         pi = _section_with(position, value)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteSolutionError, match="Tau system"):
