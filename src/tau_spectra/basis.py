@@ -149,31 +149,140 @@ def eval_basis_derivs(basis: RecurrenceBasis, n: int, x: float, r: int = 0) -> n
     return out
 
 
+# Unit roundoff of float64 and Higham's gamma_5 = 5u / (1 - 5u), the relative
+# error of five roundings in a row: the most one float64 Clenshaw step
+# commits to any of its terms.
+_U64 = 2.0**-53
+_GAMMA5 = 5.0 * _U64 / (1.0 - 5.0 * _U64)
+
+
+def _sup_nu(basis: RecurrenceBasis, count: int, lo: float, hi: float) -> np.ndarray | None:
+    """B_k >= max |nu_k(x)| over lo <= x <= hi for k < count, from a closed
+    form rounded up, or None where none is known.
+
+    Jacobi with q = max(alpha, beta) >= -1/2 on [-1, 1]: binom(k + q, k),
+    the value at the endpoint of the larger exponent (Szego, Orthogonal
+    Polynomials, Thm 7.32.1), as a cumulative product.  It is rounded up by a
+    relative 2^-50 (k+1)^2, which covers the product's 3k roundings and how
+    far nu_k, built from the float64 recurrence coefficients, strays from the
+    exact polynomial: at most 0.5 (k+1)^2 2^-53 over k <= 2000 and a dozen
+    (alpha, beta).  Laguerre on [0, inf): e^(hi/2) (Szego (7.21.3)); its
+    recurrence coefficients are exact.  An overflow reads inf.
+    """
+    with np.errstate(over="ignore"):
+        if basis.family == "jacobi" and -1.0 <= lo and hi <= 1.0:
+            q = max(basis.alpha, basis.beta)
+            if q >= -0.5:
+                j = np.arange(1.0, count)
+                binom = np.cumprod(np.concatenate(([1.0], (j + q) / j)))
+                return binom * (1.0 + 2.0**-50 * np.arange(1.0, count + 1.0) ** 2)
+        if basis.family == "laguerre" and lo >= 0.0:
+            return np.full(count, np.exp(0.5 * hi) * (1.0 + 2.0**-48))
+    return None
+
+
+def _head_budget(basis: RecurrenceBasis, coeffs: np.ndarray, recurrence, xs: np.ndarray):
+    """(tau, wc, wu, wg) such that float64 step k adds at most
+    wc[k] + wu[k]*s1 + wg[k]*s2 to the error of the sum at any point of xs,
+    where s1 and s2 are the largest |b_{k+1}| and |b_{k+2}| the steps before
+    it computed; or None where no closed-form bound on |nu_k| covers xs.
+
+    Step k computes b_k = c_k + (x - beta_k)/alpha_k * b_{k+1}
+    - (gamma_{k+1}/alpha_{k+1}) * b_{k+2}, and an error delta in b_k enters
+    the steps below it exactly as a change of c_k would, so it moves the sum
+    by delta * nu_k(x).  Five roundings bound delta by
+    gamma_5 * (|c_k| + U_k*s1 + G_k*s2), with U_k = max |x - beta_k| / |alpha_k|
+    over xs and G_k = |gamma_{k+1}/alpha_{k+1}|; times B_k >= sup |nu_k| that
+    is the step's share.  A relative 2^-50 per step covers the roundings of
+    U_k, G_k and of the running sum itself.  Underflow is not counted: its
+    absolute errors, below 2^-1074 an operation, stay far under tau unless
+    max|coeffs| is itself near the bottom of the float64 range.
+    """
+    if xs.size == 0 or not np.isfinite(xs).all():
+        return None
+    tau = float(np.finfo(np.longdouble).eps * np.max(np.abs(coeffs)))
+    lo, hi = float(xs.min()), float(xs.max())
+    n1 = coeffs.shape[0]
+    sup = _sup_nu(basis, n1, lo, hi)
+    if sup is None or not math.isfinite(tau):
+        return None
+    alpha, beta, gamma = recurrence
+    # An infinite B_k makes its step's cost inf or nan, either of which ends
+    # the head.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _GAMMA5 * (1.0 + 2.0**-50 * (n1 + 8)) * sup
+        u = np.maximum(np.abs(hi - beta[:n1]), np.abs(lo - beta[:n1])) / np.abs(alpha[:n1])
+        g = np.abs(gamma[1:] / alpha[1:])
+        wc = w * np.abs(coeffs).astype(np.float64)
+    return tau, wc.tolist(), (w * u).tolist(), (w * g).tolist()
+
+
 def clenshaw(basis: RecurrenceBasis, coeffs, x):
-    """Evaluate sum_k coeffs[k]*nu_k(x) by backward recurrence in np.longdouble.
+    """Evaluate sum_k coeffs[k]*nu_k(x) by backward recurrence, to the
+    accuracy of a sum run wholly in np.longdouble.
 
     x may be a scalar or an ndarray; the float64 result matches its shape.
     Summing a Laguerre series at large x cancels intermediate terms up to
     ~1e9 times the value, so float64 evaluation would only be good to ~1e-7
     absolute there.
+
+    The top of the recurrence, where the terms are still small, runs in
+    float64.  It hands b_{k+1} and b_{k+2} (exact in long double) to
+    np.longdouble at the first step where a first-order bound on the error of
+    its float64 steps would exceed tau = np.finfo(np.longdouble).eps *
+    max|coeffs|.  Each step's rounding reaches the sum multiplied by nu_k(x)
+    (Barrio, J. Comput. Appl. Math. 138, 2002), and the bound weights it by a
+    closed-form B_k >= sup |nu_k| over the points (Szego, Orthogonal
+    Polynomials, Thm 7.32.1 for Jacobi, (7.21.3) for Laguerre; see
+    _head_budget), so it costs one float64 reduction, max|b_k|, a step.  An
+    output value thus moves from the all-long-double sum by at most tau plus
+    the long-double rounding either sum carries, and one float64 rounding.
+    The switch depends on the extreme points, so a value can move by as much
+    with the other points summed alongside it.
+    Where no B_k is known every step runs in long double, bit for bit the
+    plain loop: custom bases, Jacobi with max(alpha, beta) < -1/2, points
+    outside [-1, 1] (Jacobi) or below 0 (Laguerre), no points, or a point
+    that is not finite.
     """
+    xs = np.asarray(x, dtype=np.float64)
+    sums, _ = _clenshaw_steps(basis, coeffs, xs.reshape(-1))
+    vals = sums.astype(np.float64)
+    if xs.ndim == 0:
+        return float(vals[0])
+    return vals.reshape(xs.shape)
+
+
+def _clenshaw_steps(basis: RecurrenceBasis, coeffs, xs: np.ndarray) -> tuple[np.ndarray, int]:
+    """clenshaw at the flat float64 points xs: the sums in the precision of
+    the last step, and how many of the steps ran in long double."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.longdouble)
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a non-empty 1-d array")
     n1 = coeffs.shape[0]
-    alpha, beta, gamma = (arr.astype(np.longdouble) for arr in recurrence_arrays(basis, n1 + 1))
-    xs = np.asarray(x, dtype=np.float64)
-    flat = xs.reshape(-1).astype(np.longdouble)
-    b1 = np.zeros_like(flat)
-    b2 = np.zeros_like(flat)
+    recurrence = recurrence_arrays(basis, n1 + 1)
+    budget = _head_budget(basis, coeffs, recurrence, xs)
+    if budget is not None:
+        tau, wc, wu, wg = budget
+    work = np.longdouble if budget is None else np.float64
+    extended = n1 if budget is None else 0
+    c, alpha, beta, gamma, xw = (a.astype(work) for a in (coeffs, *recurrence, xs))
+    b1 = b2 = np.zeros_like(xw)
+    spent = s1 = s2 = 0.0
     for k in range(n1 - 1, -1, -1):
-        b = coeffs[k] + (flat - beta[k]) / alpha[k] * b1 - (gamma[k + 1] / alpha[k + 1]) * b2
+        if work is np.float64:
+            spent += wc[k] + wu[k] * s1 + wg[k] * s2
+            if not spent <= tau:
+                work = np.longdouble
+                extended = k + 1
+                c, alpha, beta, gamma, xw, b1, b2 = (
+                    a.astype(work) for a in (coeffs, *recurrence, xs, b1, b2)
+                )
+        b = c[k] + (xw - beta[k]) / alpha[k] * b1 - (gamma[k + 1] / alpha[k + 1]) * b2
         b2 = b1
         b1 = b
-    vals = b1.astype(np.float64)
-    if xs.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(xs.shape)
+        if work is np.float64:
+            s2, s1 = s1, float(np.abs(b).max())
+    return b1, extended
 
 
 def change_of_basis(basis: RecurrenceBasis, n: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from tau_spectra import (
     monomial,
     operator_height,
     point_condition,
-    power_oracle_column,
     shift_matrix,
     similarity_pi,
     solve_tau,
@@ -56,7 +55,7 @@ from tau_spectra.cli import (
     read_grid_values,
     volterra_problem,
 )
-from tau_spectra.oracles import _exact_monomial_rows
+from monomial_oracle import exact_monomial_rows, power_oracle_column
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]
 
@@ -301,7 +300,7 @@ def test_polynomial_exactness():
         lo, hi = (0.0, 6.0) if basis.family == "laguerre" else (-1.0, 1.0)
         n = int(rng.integers(5, 13))
         c = rng.uniform(-1.0, 1.0, n + 1)
-        rows = _exact_monomial_rows(basis, n)
+        rows = exact_monomial_rows(basis, n)
         y_pow = [Fraction(0)] * (n + 1)
         for k in range(n + 1):
             ck = Fraction(float(c[k]))

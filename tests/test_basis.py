@@ -1,7 +1,6 @@
 """Recurrence coefficients, evaluation, and monomial conversion."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from tau_spectra.basis import (
     laguerre,
     recurrence_arrays,
 )
+from monomial_oracle import exact_monomial_rows
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]
 IDS = [b.label() for b in BASES]
@@ -42,24 +42,6 @@ def _forward_values(basis, n, x):
         vals[j + 1] = ((x - be) * vals[j] - ga * prev) / al
         prev = vals[j]
     return vals
-
-
-def _exact_monomial_rows(basis, count):
-    """Row k = exact power coefficients of nu_k, in Fractions over the same
-    float recurrence coefficients the library uses."""
-    alpha, beta, gamma = recurrence_arrays(basis, max(count, 1))
-    rows = [[Fraction(1)]]
-    for k in range(count):
-        cur = rows[k]
-        prev = rows[k - 1] if k >= 1 else []
-        nxt = [Fraction(0)] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += c
-            nxt[i] -= Fraction(beta[k]) * c
-        for i, c in enumerate(prev):
-            nxt[i] -= Fraction(gamma[k]) * c
-        rows.append([c / Fraction(alpha[k]) for c in nxt])
-    return rows
 
 
 def test_legendre_coefficients_closed_form():
@@ -192,7 +174,7 @@ def test_derivative_table_equals_untrimmed_recurrence(basis, dtype, n, r):
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
 def test_change_of_basis_matches_exact_rows(basis):
     v = change_of_basis(basis, 25)
-    rows = _exact_monomial_rows(basis, 25)
+    rows = exact_monomial_rows(basis, 25)
     for k in range(26):
         exact = np.array([float(c) for c in rows[k]])
         scale = np.max(np.abs(exact))

@@ -13,7 +13,7 @@ from tau_spectra.opmatrix import (
     similarity_pi,
     volterra_matrix,
 )
-from tau_spectra.oracles import power_oracle_column
+from monomial_oracle import power_oracle_column
 from tau_spectra.basis import change_of_basis
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]

@@ -13,10 +13,10 @@ from tau_spectra.oracles import (
     airy_bvp_reference,
     bessel_j,
     bessel_j_series,
-    power_oracle_column,
     volterra_exact,
     volterra_forcing,
 )
+from monomial_oracle import power_oracle_column
 
 
 def test_oracle_derivative_legendre_j3():
