@@ -47,6 +47,7 @@ from .tau import (
     ConditionTerm,
     NonFiniteSolutionError,
     OperatorTerm,
+    Section,
     TauProblem,
     assemble_pi,
     derivative_term,
@@ -490,9 +491,9 @@ def condition_comparison(n: int) -> tuple[float, float, float]:
     s = n + 1 + operator_height(problem.operator)
     v = change_of_basis(basis, s - 1)
     pi_power = np.zeros((s, s))
-    pi_power[:, : n + 1] = assemble_pi(dataclasses.replace(problem, basis=monomial()))
+    pi_power[:, : n + 1] = assemble_pi(dataclasses.replace(problem, basis=monomial())).to_dense()
     pi_sim = similarity_pi(v, pi_power)[:, : n + 1]
-    err_sim = float(np.max(np.abs(solve_tau_system(problem, pi_sim)(grid) - refs)))
+    err_sim = float(np.max(np.abs(solve_tau_system(problem, Section.from_dense(pi_sim))(grid) - refs)))
     return err_rec, err_sim, cond_estimate_1(v)
 
 

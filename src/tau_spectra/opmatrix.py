@@ -52,9 +52,10 @@ __all__ = [
     "similarity_pi",
 ]
 
-# Largest dense section s x s any builder or solve allocates: 128 MiB per
-# float64 copy.  Admits the Bessel figure (degree 2000, section 2003) and
-# both error tables (degree 1000) with room to spare.
+# Largest section size s any builder or solve takes: 128 MiB for an s x s
+# float64 array, such as a dense H^k or Volterra matrix.  Admits the Bessel
+# figure (degree 2000, section 2003) and both error tables (degree 1000)
+# with room to spare.
 MAX_SECTION_SIZE = 4096
 
 
@@ -136,22 +137,18 @@ def _derivative_superdiagonals(alpha, beta, gamma, s: int) -> tuple[np.ndarray, 
     return tuple(np.array(h[d]) for d in (1, 2, 3))
 
 
-def _xd_powers(alpha, beta, gamma, s: int, orders) -> dict[int, list]:
+def _xd_powers(s: int, orders) -> dict[int, list]:
     """{k: diagonals of x^k D^k} on an s-section for each k in orders,
     Laguerre basis only: entry o of the list holds A[i, i+o], o = 0..k.
 
-    There S = xD = M H is upper bidiagonal (x L_j' = j L_j - j L_{j-1}), and
-    its two diagonals read only H's superdiagonals 1 and 2.  Each factor of
+    There S = xD is upper bidiagonal in closed form, x L_j' = j L_j - j
+    L_{j-1}: S[i, i] = i and S[i, i+1] = -(i+1).  Each factor of
     x^k D^k = (S - (k-1) I) x^(k-1) D^(k-1) combines two neighbouring rows,
     so x^k D^k has upper bandwidth k and costs O(s k), with no matrix
     product, and stays as its diagonals.  The entries are integers: any
     order of operations is exact.
     """
-    h1, h2, _ = _derivative_superdiagonals(alpha, beta, gamma, s)
-    s0 = np.zeros(s)
-    s0[1:] = alpha[: h1.shape[0]] * h1
-    s1 = beta[: h1.shape[0]] * h1
-    s1[1:] += alpha[: h2.shape[0]] * h2
+    s0, s1 = np.arange(float(s)), -np.arange(1.0, s)
     band = [s0, s1]
     powers = {}
     for k in range(1, max(orders) + 1):

@@ -129,7 +129,11 @@ def volterra_exact(a: float, x: float) -> float:
     return volterra_forcing(a, x) / (a - x) ** 3
 
 
-_AIRY_EPS_MIN = 1e-3  # series cancellation destroys accuracy below this
+# Series cancellation destroys accuracy below this, and costs digits well
+# above it: against a 50-digit mpmath Airy solution the series is itself off
+# by 1.8e-6 at eps = 1e-3, 3.7e-8 at 2e-3, 4.2e-13 at 5e-3 and 1.05e-13 at
+# 1e-2, so an error column below about 2e-3 measures the reference.
+_AIRY_EPS_MIN = 1e-3
 
 
 def _horner(c: np.ndarray, xs):

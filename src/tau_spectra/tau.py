@@ -24,14 +24,16 @@ Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
 a column block can reach: at most h below the block, and, when every term's
 matrix is banded, at most the widest upper band plus the chain's degree
-above it.
+above it.  The chain writes into a Section, blocks of 64 rows each held
+over the columns its rows can reach, so Pi is never one array.
 
-The square Tau matrix is never built.  It is read from the condition rows
-and Pi as blocks of rows, each cut to the columns from its first to its
-last nonzero; the almost-banded QR factors those blocks, keeping dense rows
-such as the condition rows apart, and the extended-precision refinement
-residual reads the same blocks.  On a banded section a solve so holds Pi
-and O(n * (64 + bandwidth)) more.
+Nor is the square Tau matrix built.  It is read from the condition rows and
+the section's blocks above row n+1-m_c, each cut to the columns from its
+first to its last nonzero; the almost-banded QR factors those blocks,
+keeping dense rows such as the condition rows apart, the extended-precision
+refinement residual reads the same blocks, and the blocks below give the
+residual tail.  On a banded section a solve holds O(n * (64 + bandwidth))
+entries in all, Pi included.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "TauSolution",
     "Diagnostics",
     "operator_height",
+    "Section",
     "assemble_pi",
     "project_rhs",
     "condition_row",
@@ -65,7 +68,7 @@ __all__ = [
     "solve_tau_system",
 ]
 
-_BLOCK = 64  # columns per Horner chain of Pi, rows per refinement residual block
+_BLOCK = 64  # columns per Horner chain of Pi, rows per section and Tau matrix block
 
 
 class NonFiniteSolutionError(ArithmeticError):
@@ -214,33 +217,69 @@ class TauSolution:
         return clenshaw(self.basis, self.coeffs_extended, x)
 
 
+@dataclass(frozen=True, eq=False)
+class Section:
+    """An operator section of the given shape held as (rows, values, cols)
+    triples of slices and arrays: blocks of _BLOCK rows in row order, each
+    holding its rows over the columns cols, with zeros outside them."""
+
+    shape: tuple[int, int]
+    blocks: list
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for rows, vals, cols in self.blocks:
+            out[rows, cols] = vals
+        return out
+
+    @classmethod
+    def from_dense(cls, a) -> Section:
+        """The section held by a 2-d array: each block of _BLOCK rows a view
+        of a, cut to the columns from its first to its last nonzero."""
+        a = np.asarray(a, dtype=np.float64)
+        rows = [slice(r0, min(r0 + _BLOCK, a.shape[0])) for r0 in range(0, a.shape[0], _BLOCK)]
+        return cls(a.shape, [_trim(r, a[r], slice(0, a.shape[1])) for r in rows])
+
+
+def _trim(rows: slice, vals: np.ndarray, cols: slice) -> tuple:
+    """A block cut to the columns from its first to its last nonzero, as a
+    view; an all-zero block keeps every column."""
+    nonzero = (vals != 0.0).any(axis=0)
+    lo, hi = int(np.argmax(nonzero)), vals.shape[1] - int(np.argmax(nonzero[::-1]))
+    return rows, vals[:, lo:hi], slice(cols.start + lo, cols.start + hi)
+
+
 def operator_height(terms) -> int:
     """How far the operator can raise coefficient indices, max(deg p - k):
     the section is built with n+1+h rows so no reachable row is lost."""
     return max([0, *(t.degree - t.order for t in terms)])
 
 
-def _poly_in_shift(
-    recurrence, terms, shape: tuple[int, int], height: int, upper: int
-) -> np.ndarray:
+def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int, upper: int) -> Section:
     """Sum of p(M) @ A over the (p, A) terms (A = None for the identity, a
     list of diagonals A[i, i+o], o = 0, 1, ..., for a band), with M the shift
     of the recurrence arrays (alpha, beta, gamma), by one Horner chain: from
     the top degree down, t <- M t + sum of p_k A.
 
     height bounds how far any term raises indices (deg p plus the lower
-    bandwidth of A), so columns j < c1 of every partial sum vanish below row
-    c1 + height.  upper bounds the upper bandwidth of every A, so columns
-    j >= c0 vanish above row c0 - upper - top, top the degree of the chain.
-    The chain runs on blocks of _BLOCK columns, each cut to the rows between
-    those bounds; the rows outside are exact zeros of the full chain and
-    stay zero here.  shape has at least as many rows as columns, and each A
-    at least shape entries.  A band enters a block as the diagonals that
+    bandwidth of A), so column j of every partial sum vanishes below row
+    j + height.  upper bounds the upper bandwidth of every A, so column j
+    vanishes above row j - upper - top, top the degree of the chain.  The
+    chain runs on blocks of _BLOCK columns, each cut to the rows between
+    those bounds, and writes them into row blocks of _BLOCK rows, each held
+    over the columns its rows can reach; the entries outside are exact zeros
+    of the full chain.  shape has at least as many rows as columns, and each
+    A at least shape entries.  A band enters a block as the diagonals that
     cross it, zeros elsewhere: the full array's sum, bit for bit.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
-    out = np.zeros(shape)
+    out = []
+    for i0 in range(0, rows, _BLOCK):
+        i1 = min(i0 + _BLOCK, rows)
+        j1 = min(cols, i1 + upper + top)
+        j0 = min(max(0, i0 - height), j1)
+        out.append((slice(i0, i1), np.zeros((i1 - i0, j1 - j0)), slice(j0, j1)))
     for c0 in range(0, cols, _BLOCK):
         c1 = min(c0 + _BLOCK, cols)
         r0, r = max(0, c0 - upper - top), min(rows, c1 + height)
@@ -256,8 +295,13 @@ def _poly_in_shift(
                     t[diag] += p[k]
                 elif k < p.shape[0]:
                     t += p[k] * blk
-        out[r0:r, c0:c1] = t
-    return out
+        for rs, vals, cs in out[r0 // _BLOCK : -(-r // _BLOCK)]:
+            i0, i1 = max(r0, rs.start), min(r, rs.stop)
+            j0, j1 = max(c0, cs.start), min(c1, cs.stop)
+            if j0 < j1:
+                dst = vals[i0 - rs.start : i1 - rs.start, j0 - cs.start : j1 - cs.start]
+                dst[...] = t[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
+    return Section(shape, out)
 
 
 def _term_block(a_mat, r0: int, r: int, c0: int, c1: int):
@@ -280,7 +324,7 @@ def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
     return k if divisible and basis.family == "laguerre" else 0
 
 
-def assemble_pi(problem: TauProblem) -> np.ndarray:
+def assemble_pi(problem: TauProblem) -> Section:
     """Operator section Pi of shape (n+1+h, n+1): Pi @ a holds the
     nu-coefficients of L[u_n]."""
     n, basis = problem.degree, problem.basis
@@ -290,7 +334,7 @@ def assemble_pi(problem: TauProblem) -> np.ndarray:
     xd = [_xd_order(basis, t) for t in problem.operator]
     banded = set(xd) - {0}
     dense = {t.order for t, k in zip(problem.operator, xd) if t.order > 0 and not k}
-    factors = _xd_powers(*recurrence, s, banded) if banded else {}
+    factors = _xd_powers(s, banded) if banded else {}
     powers = _derivative_table(*recurrence, s, dense) if dense else {}  # I = D^0: None
     terms = [
         (t.coeff[k:], factors[k])
@@ -312,7 +356,7 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d, 0)[:, 0]
+    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d, 0).to_dense()[:, 0]
 
 
 def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:
@@ -329,9 +373,10 @@ def solve_tau(problem: TauProblem) -> TauSolution:
     return solve_tau_system(problem, assemble_pi(problem))
 
 
-def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
+def solve_tau_system(problem: TauProblem, section: Section) -> TauSolution:
     """Solve using a caller-supplied operator section (shape (n+1+h, n+1));
     lets alternative section builders reuse the row selection and solve.
+    Section.from_dense takes a section held as an array.
 
     Raises SingularMatrixError on an exactly singular system and
     NonFiniteSolutionError, before factoring, on a Tau system holding NaN or
@@ -341,14 +386,23 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     n = problem.degree
     m_c = len(problem.conditions)
     h = operator_height(problem.operator)
-    if pi.shape != (n + 1 + h, n + 1):
-        raise ValueError(f"operator section shape {pi.shape} != {(n + 1 + h, n + 1)}")
+    if section.shape != (n + 1 + h, n + 1):
+        raise ValueError(f"operator section shape {section.shape} != {(n + 1 + h, n + 1)}")
     f_nu = project_rhs(problem.rhs, problem.basis, n + 1 + h)
     keep = n + 1 - m_c
     cond_rows = np.zeros((m_c, n + 1), dtype=np.longdouble)
     for i, cond in enumerate(problem.conditions):
         cond_rows[i] = condition_row(cond, problem.basis, n)
-    blocks = _system_blocks(cond_rows.astype(np.float64), pi[:keep])
+    # The Tau matrix: the condition rows, then the section's rows above keep,
+    # each block cut to its nonzero columns; the rows below are the tail.
+    blocks = [(slice(0, m_c), cond_rows.astype(np.float64), slice(0, n + 1))]
+    tail_blocks = []
+    for rows, vals, cols in section.blocks:
+        split = min(max(keep, rows.start), rows.stop)
+        if rows.start < split:
+            blocks.append(_trim(slice(m_c + rows.start, m_c + split), vals[: split - rows.start], cols))
+        if split < rows.stop:
+            tail_blocks.append((slice(split - keep, rows.stop - keep), vals[split - rows.start :], cols))
     row_max = np.concatenate([np.max(np.abs(vals), axis=1) for _, vals, _ in blocks])
     if not np.all(np.isfinite(row_max)):
         raise NonFiniteSolutionError("Tau system is not finite")
@@ -368,7 +422,10 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     coeffs_ext = _refine(blocks, b, factors, qr_solve(factors, b))
     if not np.all(np.isfinite(coeffs_ext)):
         raise NonFiniteSolutionError("solution coefficients are not finite")
-    tail = pi[keep:] @ np.asarray(coeffs_ext, dtype=np.float64) - f_nu[keep:]
+    coeffs = np.asarray(coeffs_ext, dtype=np.float64)
+    tail = -f_nu[keep:]
+    for rows, vals, cols in tail_blocks:
+        tail[rows] += vals @ coeffs[cols]
     if not np.all(np.isfinite(tail)):
         raise NonFiniteSolutionError("residual tail is not finite")
     cond_estimate = cond_estimate_factored(factors, norm1)
@@ -378,30 +435,11 @@ def solve_tau_system(problem: TauProblem, pi: np.ndarray) -> TauSolution:
     return TauSolution(problem.basis, diags, coeffs_extended=coeffs_ext, residual_tail=tail)
 
 
-def _system_blocks(top: np.ndarray, section: np.ndarray) -> list:
-    """(rows, values, cols) triples that hold the Tau matrix without building
-    it: the condition rows top over every column, then each block of _BLOCK
-    rows of the section cut to the columns from its first to its last
-    nonzero, as a view.  A section from assemble_pi puts the first within
-    m_c + h of the block's first row; on a banded section the last is within
-    the upper bandwidth of its last row, so the blocks hold O(n * (_BLOCK +
-    bandwidth)) entries, while a dense upper triangle still keeps whole rows.
-    """
-    m_c, n = top.shape
-    blocks = [(slice(0, m_c), top, slice(0, n))]
-    for r0 in range(0, section.shape[0], _BLOCK):
-        vals = section[r0 : r0 + _BLOCK]
-        nonzero = (vals != 0.0).any(axis=0)
-        cols = slice(int(np.argmax(nonzero)), n - int(np.argmax(nonzero[::-1])))
-        blocks.append((slice(m_c + r0, m_c + r0 + vals.shape[0]), vals[:, cols], cols))
-    return blocks
-
-
 def _residual(blocks: list, b_ext: np.ndarray, a_ext: np.ndarray) -> np.ndarray:
-    """b - t a in extended precision from the blocks of _system_blocks; a
-    float64 block enters the product exactly, promoted to long double.  The
-    terms left out are exact zeros, so each entry equals the full product's
-    bit for bit."""
+    """b - t a in extended precision from the (rows, values, cols) blocks
+    of the Tau matrix; a float64 block enters the product exactly, promoted
+    to long double.  The terms left out are exact zeros, so each entry
+    equals the full product's bit for bit."""
     r = np.empty_like(b_ext)
     for rows, t_blk, cols in blocks:
         r[rows] = b_ext[rows] - t_blk @ a_ext[cols]
@@ -414,11 +452,11 @@ def _refine(blocks: list, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndar
     The raw forward error of a Laguerre system is visible in the solution
     even though every row residual is tiny; a few corrected steps recover
     the accuracy, provided the float64 factors contract the error, which
-    unscaled Laguerre condition rows prevent.  blocks, from _system_blocks,
-    hold the row-scaled system with its condition rows in extended precision,
-    so the fixed point satisfies the accurate functionals, not their float64
-    images.  Cheap (one banded matvec and one substitution per step) and a
-    near no-op for well-conditioned systems.
+    unscaled Laguerre condition rows prevent.  blocks hold the row-scaled
+    system with its condition rows in extended precision, so the fixed
+    point satisfies the accurate functionals, not their float64 images.
+    Cheap (one banded matvec and one substitution per step) and a near
+    no-op for well-conditioned systems.
     """
     b_ext = b.astype(np.longdouble)
     a_ext = coeffs.astype(np.longdouble)

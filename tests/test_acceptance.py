@@ -32,6 +32,7 @@ from tau_spectra import (
     monomial,
     operator_height,
     point_condition,
+    Section,
     shift_matrix,
     similarity_pi,
     solve_tau,
@@ -229,9 +230,9 @@ def test_conditioning_comparison():
     s = 21 + operator_height(problem.operator)
     v = change_of_basis(basis, s - 1)
     pi_power = np.zeros((s, s))
-    pi_power[:, :21] = assemble_pi(dataclasses.replace(problem, basis=monomial()))
+    pi_power[:, :21] = assemble_pi(dataclasses.replace(problem, basis=monomial())).to_dense()
     pi_sim = similarity_pi(v, pi_power)[:, :21]
-    y_sim = solve_tau_system(problem, pi_sim)(grid)
+    y_sim = solve_tau_system(problem, Section.from_dense(pi_sim))(grid)
     scale = float(np.max(np.abs(y_rec)))
     assert np.max(np.abs(y_rec - y_sim)) <= 1e-8 * scale
     assert time.perf_counter() - start < 10.0

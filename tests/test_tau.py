@@ -29,6 +29,7 @@ from tau_spectra.oracles import volterra_exact, volterra_forcing
 from tau_spectra.tau import (
     NonFiniteSolutionError,
     OperatorTerm,
+    Section,
     TauProblem,
     assemble_pi,
     condition_row,
@@ -93,7 +94,7 @@ def test_assemble_pi_first_order():
         rhs=np.array([0.0]),
         degree=1,
     )
-    assert np.allclose(assemble_pi(problem), [[-1.0, 1.0], [0.0, -1.0]], atol=1e-15)
+    assert np.allclose(assemble_pi(problem).to_dense(), [[-1.0, 1.0], [0.0, -1.0]], atol=1e-15)
 
 
 def test_assemble_pi_identity():
@@ -104,7 +105,7 @@ def test_assemble_pi_identity():
         rhs=np.array([0.0]),
         degree=4,
     )
-    assert np.array_equal(assemble_pi(problem), np.eye(5))
+    assert np.array_equal(assemble_pi(problem).to_dense(), np.eye(5))
 
 
 def test_assemble_pi_shift():
@@ -115,7 +116,7 @@ def test_assemble_pi_shift():
         rhs=np.array([0.0]),
         degree=1,
     )
-    pi = assemble_pi(problem)
+    pi = assemble_pi(problem).to_dense()
     assert pi.shape == (3, 2)
     assert np.allclose(pi[:, 0], [0.0, 1.0, 0.0], atol=1e-15)
     assert np.allclose(pi[:, 1], [1 / 3, 0.0, 2 / 3], rtol=1e-15)
@@ -127,7 +128,7 @@ def _power_section(basis, order, s):
         basis=basis, operator=[derivative_term([1.0], order)], conditions=[], rhs=[0.0],
         degree=s - 1,
     )
-    return assemble_pi(problem)
+    return assemble_pi(problem).to_dense()
 
 
 @pytest.mark.parametrize("basis", BASES, ids=BASE_IDS)
@@ -186,21 +187,19 @@ def _traced(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [500, 1000])
-def test_bessel_assembly_holds_little_beyond_its_section(n):
-    # x^k D^k stays as its diagonals, so Pi is the only large array
-    pi, peak = _traced(assemble_pi, bessel_problem(10, n))
-    assert peak <= 1.25 * pi.nbytes
-
-
-@pytest.mark.parametrize("n", [500, 1000])
-def test_bessel_solve_holds_one_square_array(n):
-    # the Tau matrix is read from Pi and factored by almost-banded QR: the
+def test_bessel_solve_holds_no_square_array():
+    # Pi is held as row blocks over the columns their rows reach, and the Tau
+    # matrix is read from them and factored by almost-banded QR: the whole
     # solve allocates no (n+1)^2 array
-    problem = bessel_problem(10, n)
-    pi = assemble_pi(problem)
-    peak = _traced(solve_tau_system, problem, pi)[1]
-    assert peak < 1.0 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
+    n = 1000
+    peak = _traced(solve_tau, bessel_problem(10, n))[1]
+    assert peak <= 0.6 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
+
+
+def test_bessel_section_holds_its_band():
+    n = 1000
+    section = assemble_pi(bessel_problem(10, n))
+    assert sum(vals.size for _, vals, _ in section.blocks) <= 0.15 * (n + 1) ** 2
 
 
 @pytest.mark.parametrize(
@@ -231,7 +230,7 @@ def test_operator_section_is_sum_of_term_sections(basis, operator, rtol):
     def section(terms):
         return assemble_pi(
             TauProblem(basis=basis, operator=terms, conditions=[], rhs=[0.0], degree=200)
-        )
+        ).to_dense()
 
     full = section(operator)
     total = np.zeros_like(full)
@@ -332,7 +331,7 @@ def test_condition_rows_satisfied():
 def test_imposed_residual_rows_satisfied():
     problem = _volterra_problem(LEG, 40)
     solution = solve_tau(problem)
-    pi = assemble_pi(problem)
+    pi = assemble_pi(problem).to_dense()
     rhs = project_rhs(problem.rhs, problem.basis, pi.shape[0])
     res = pi @ solution.coeffs - rhs
     m_c = len(problem.conditions)
@@ -513,7 +512,7 @@ BANDED_PROBLEMS = {
 
 @pytest.mark.parametrize("problem", BANDED_PROBLEMS.values(), ids=BANDED_PROBLEMS.keys())
 def test_banded_assembly_equals_dense_chain_bitwise(problem):
-    assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+    assert assemble_pi(problem).to_dense().tobytes() == _dense_pi(problem).tobytes()
 
 
 def _laguerre_problem(operator, n):
@@ -524,21 +523,21 @@ def _laguerre_problem(operator, n):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 2000])
 def test_bessel_xd_route_equals_dense_route_bitwise(n):
     problem = bessel_problem(10, n)
-    assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+    assert assemble_pi(problem).to_dense().tobytes() == _dense_pi(problem).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_xk_dk_route_equals_dense_route_bitwise(k):
     for n in (k - 1, 4, 63, 64, 65, 300):  # xD at n = 0 is the 1 x 1 section
         problem = _laguerre_problem([derivative_term([0.0] * k + [1.0], k)], n)
-        assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+        assert assemble_pi(problem).to_dense().tobytes() == _dense_pi(problem).tobytes()
 
 
 def test_mixed_xd_and_dense_laguerre_terms_bitwise():
     # x^2 D^2 takes the xD route and D^2 the H^2 table, so no row is cut.
     operator = [derivative_term([0.0, 0.0, 1.0], 2), derivative_term([1.0], 2), identity_term([1.0])]
     problem = _laguerre_problem(operator, 150)
-    assert assemble_pi(problem).tobytes() == _dense_pi(problem).tobytes()
+    assert assemble_pi(problem).to_dense().tobytes() == _dense_pi(problem).tobytes()
 
 
 def test_non_integer_xd_coefficient_within_roundoff():
@@ -546,7 +545,7 @@ def test_non_integer_xd_coefficient_within_roundoff():
     # 2.6e-14 relative to the largest entry, measured at n = 300.
     problem = _laguerre_problem([derivative_term([0.0, 0.0, 0.3], 2)], 300)
     dense = _dense_pi(problem)
-    assert np.max(np.abs(assemble_pi(problem) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(assemble_pi(problem).to_dense() - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_xd_route_builds_no_derivative_table(monkeypatch):
@@ -555,7 +554,7 @@ def test_xd_route_builds_no_derivative_table(monkeypatch):
 
     expected = _dense_pi(bessel_problem(10, 200))
     monkeypatch.setattr(tau, "_derivative_table", no_table)
-    assert assemble_pi(bessel_problem(10, 200)).tobytes() == expected.tobytes()
+    assert assemble_pi(bessel_problem(10, 200)).to_dense().tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -581,7 +580,7 @@ def test_jacobi_sections_keep_the_derivative_table(problem, monkeypatch):
         return _derivative_table(alpha, beta, gamma, s, wanted)
 
     monkeypatch.setattr(tau, "_derivative_table", spy)
-    assert assemble_pi(problem).tobytes() == expected.tobytes()
+    assert assemble_pi(problem).to_dense().tobytes() == expected.tobytes()
     assert orders == [sorted({t.order for t in problem.operator if t.order > 0})]
 
 
@@ -613,7 +612,7 @@ def _tau_matrix(problem) -> np.ndarray:
     two that brings its largest magnitude into [1, 2)."""
     m_c, n = len(problem.conditions), problem.degree
     rows = [np.asarray(condition_row(c, problem.basis, n), dtype=np.float64) for c in problem.conditions]
-    t = np.vstack([*rows, assemble_pi(problem)[: n + 1 - m_c]])
+    t = np.vstack([*rows, assemble_pi(problem).to_dense()[: n + 1 - m_c]])
     return np.ldexp(t, 1 - np.frexp(np.max(np.abs(t), axis=1))[1][:, None])
 
 
@@ -741,6 +740,46 @@ def test_refined_solution_solves_its_discrete_system(problem, bound, monkeypatch
     assert _discrete_forward_error(problem, monkeypatch) <= bound
 
 
+# D^70 with 70 conditions at degree 140: keep = 71 splits rows 64..127, and
+# rows 71..140 of H^70 are zero, so the block of rows 128..140 is all zero.
+HIGH_ORDER_PROBLEM = TauProblem(
+    basis=laguerre(),
+    operator=[derivative_term([1.0], 70)],
+    conditions=[point_condition(0.0, 1.0, d) for d in range(70)],
+    rhs=[1.0],
+    degree=140,
+)
+ROUTE_PROBLEMS = {
+    "bessel-xd-300": bessel_problem(10, 300),
+    "bessel-xd-keep-on-block-edge": bessel_problem(10, 65),
+    "airy-hk-200": airy_problem(LEG, 200, 1e-3),
+    "volterra-120": _volterra_problem(jacobi(1.0, -0.9), 120),
+    "custom-airy-60": airy_problem(CUSTOM_LEG, 60, 1e-2),
+    "zero-block-d70": HIGH_ORDER_PROBLEM,
+}
+
+
+@pytest.mark.parametrize("problem", ROUTE_PROBLEMS.values(), ids=ROUTE_PROBLEMS.keys())
+def test_solve_from_assembled_blocks_equals_solve_from_dense_section(problem):
+    section = assemble_pi(problem)
+    from_dense = Section.from_dense(section.to_dense())
+    assert [rows for rows, _, _ in section.blocks] == [rows for rows, _, _ in from_dense.blocks]
+    expected = solve_tau_system(problem, from_dense)
+    solution = solve_tau(problem)
+    # equal values and signs: bit for bit, without the long double padding
+    assert np.array_equal(solution.coeffs_extended, expected.coeffs_extended)
+    assert np.array_equal(np.signbit(solution.coeffs_extended), np.signbit(expected.coeffs_extended))
+    assert solution.diagnostics.cond_estimate == expected.diagnostics.cond_estimate
+
+
+def test_zero_block_problem_splits_a_block_and_holds_a_zero_one():
+    section = assemble_pi(HIGH_ORDER_PROBLEM)
+    keep = HIGH_ORDER_PROBLEM.degree + 1 - len(HIGH_ORDER_PROBLEM.conditions)
+    assert any(rows.start < keep < rows.stop for rows, _, _ in section.blocks)
+    assert not np.any(section.blocks[-1][1])
+    assert np.all(np.isfinite(solve_tau(HIGH_ORDER_PROBLEM).residual_tail))
+
+
 # Rows 0..148 of the 152-row section of this problem enter the square system
 # below its two condition rows; rows 149..151 are the residual tail.
 NON_FINITE_PROBLEM = airy_problem(LEG, 150, 1e-3)
@@ -749,9 +788,9 @@ TAIL_POSITION = (150, 149)
 
 
 def _section_with(position, value):
-    pi = assemble_pi(NON_FINITE_PROBLEM)
+    pi = assemble_pi(NON_FINITE_PROBLEM).to_dense()
     pi[position] = value
-    return pi
+    return Section.from_dense(pi)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
