@@ -27,10 +27,15 @@ Jacobi and Laguerre obey the structure relation nu_j = a_j nu_{j+1}' +
 b_j nu_j' + c_j nu_{j-1}' (Hahn 1935, Math. Z. 39; Al-Salam & Chihara 1972,
 SIAM J. Math. Anal. 3), so theta is tridiagonal below row 0 and rows j-1 and
 j-2 of eta @ theta = I give b_j and c_j from three superdiagonals of eta,
-which are built alone, in O(s).
+which are built alone, in O(s).  The Volterra matrix from a is theta with
+row 0 set to -nu(a)[1:] @ theta[1:], which for these bases is a three-term
+sum per column, so one O(s) builder gives theta's diagonals and that row,
+and the assembly of tau holds them as a band under one dense row;
+integral_matrix and volterra_matrix scatter them into an array.
 Custom bases, the monomials among them, need not obey it: their theta[1:]
 solves eta[:s, 1:] @ theta[1:] = I by the back substitution similarity_pi
-uses (linalg.solve_upper_triangular), in O(s^3).
+uses (linalg.solve_upper_triangular), in O(s^3), and their Volterra row 0
+is that product.
 
 Truncation never corrupts stored entries: integral and Volterra builds run
 the underlying recurrences one index larger internally, so every returned
@@ -53,7 +58,8 @@ __all__ = [
 ]
 
 # Largest section size s any builder or solve takes: 128 MiB for an s x s
-# float64 array, such as a dense H^k or Volterra matrix.  Admits the Bessel
+# float64 array, such as a dense H^k or the Volterra matrix of a custom
+# basis; the Volterra matrix of a classical one is O(s).  Admits the Bessel
 # figure (degree 2000, section 2003) and both error tables (degree 1000)
 # with room to spare.
 MAX_SECTION_SIZE = 4096
@@ -163,32 +169,52 @@ def _xd_powers(s: int, orders) -> dict[int, list]:
     return powers
 
 
-def _integral_table_ext(basis: RecurrenceBasis, s: int) -> np.ndarray:
-    """Antiderivative coefficients with one extra row, shape (s+1, s).
-
-    The derivative section is taken at size s+1 so the k = j+1 = s entries
-    the last column reads exist: its three superdiagonals for the classical
-    families, all of it for the back substitution of custom bases.
+def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> tuple:
+    """Theta of a classical basis on an s-section, row 0 zero, as its
+    diagonals at offsets -1, 0, 1 in np.diagonal's order, in O(s); and given
+    a lower limit a, row 0 of the Volterra matrix (None without one).  With
+    sub[j] = theta[j+1, j] (sub[s-1] in the row past the section), diag[j] =
+    theta[j, j] and sup[j] = theta[j, j+1], that row sums the three terms of
+    -(nu(a)[1:] @ theta[1:]) in column j in float64 as
+    -((nu_{j-1}(a) sup[j-1] + nu_j(a) diag[j]) + nu_{j+1}(a) sub[j]).
     """
     alpha, beta, gamma = recurrence_arrays(basis, s + 2)
-    theta = np.zeros((s + 1, s))
-    j = np.arange(s)
-    theta[j + 1, j] = a = alpha[:s] / (j + 1)
-    if basis.family != "custom":  # structure relation: tridiagonal below row 0
-        h1, h2, h3 = _derivative_superdiagonals(alpha, beta, gamma, s + 1)
-        theta[j[1:], j[1:]] = b = -a[1:] * h2[: s - 1] / h1[: s - 1]
-        theta[j[1:-1], j[2:]] = -(a[2:] * h3 + b[1:] * h2[: s - 2]) / h1[: s - 2]
-        return theta
-    eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
-    theta[1:] = solve_upper_triangular(eta[:s, 1:], np.eye(s))
-    return theta
+    sub = alpha[:s] / np.arange(1, s + 1)
+    diag, sup = np.zeros(s), np.zeros(s - 1)
+    h1, h2, h3 = _derivative_superdiagonals(alpha, beta, gamma, s + 1)
+    diag[1:] = -sub[1:] * h2[: s - 1] / h1[: s - 1]
+    sup[1:] = -(sub[2:] * h3 + diag[2:] * h2[: s - 2]) / h1[: s - 2]
+    if lower is None:
+        return [sub[:-1], diag, sup], None
+    nu = eval_basis_derivs(basis, s, lower)[0].astype(np.float64)
+    return [sub[:-1], diag, sup], -((np.append(0.0, nu[:-2]) * np.append(0.0, sup) + nu[:-1] * diag) + nu[1:] * sub)
+
+
+def _integral_section(basis: RecurrenceBasis, s: int, lower: float | None = None) -> np.ndarray:
+    """The integral matrix, with row 0 the Volterra row given a lower limit.
+    A custom basis takes the back substitution on the derivative section at
+    size s+1, so the entries the last column reads exist."""
+    if basis.family != "custom":
+        diagonals, row0 = _integral_band(basis, s, lower)
+        mat, j = np.zeros((s, s)), np.arange(s)
+        mat[j[1:], j[:-1]], mat[j, j], mat[j[:-1], j[1:]] = diagonals
+    else:
+        alpha, beta, gamma = recurrence_arrays(basis, s + 2)
+        eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
+        theta = solve_upper_triangular(eta[:s, 1:], np.eye(s))  # rows 1..s
+        mat = np.zeros((s, s))
+        mat[1:] = theta[:-1]
+        row0 = None if lower is None else -(eval_basis_derivs(basis, s, lower)[0, 1:].astype(np.float64) @ theta)
+    if row0 is not None:
+        mat[0] = row0
+    return mat
 
 
 def integral_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Matrix of antidifferentiation, with the free constant fixed by a zero
     nu_0-component: row 0 is identically zero."""
     _check_size(s, 2)
-    return np.ascontiguousarray(_integral_table_ext(basis, s)[:s])
+    return _integral_section(basis, s)
 
 
 def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
@@ -197,11 +223,7 @@ def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
     _check_size(s, 2)
     if not np.isfinite(a):
         raise ValueError(f"volterra lower limit must be finite, got {a}")
-    theta = _integral_table_ext(basis, s)
-    nu_at_a = eval_basis_derivs(basis, s, float(a))[0].astype(np.float64)
-    mat = np.ascontiguousarray(theta[:s])
-    mat[0, :] = -(nu_at_a[1:] @ theta[1:])
-    return mat
+    return _integral_section(basis, s, a)
 
 
 def similarity_pi(v: np.ndarray, pi_power: np.ndarray) -> np.ndarray:

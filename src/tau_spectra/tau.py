@@ -15,25 +15,30 @@ is how far the operator can raise coefficient indices, so the section holds
 every row the degree-n image can touch.  One recurrence pass builds every
 power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
-On the Laguerre basis xD is upper bidiagonal, so a term whose p is divisible
-by x^k, p = x^k q, enters the chain as q(M) * (x^k D^k), a band of width k
-kept as its k + 1 diagonals, built from the two of xD; the Bessel section is
-pentadiagonal and needs no H^k at all.  Every other term keeps H^k.
+Banded term matrices are held in one form, _Band: diagonals at offsets
+-1, 0, 1, ..., under optional dense leading rows.  On the Laguerre basis xD
+is upper bidiagonal, so a term whose p is divisible by x^k, p = x^k q,
+enters the chain as q(M) * (x^k D^k), a band of width k kept as its k + 1
+diagonals, built from the two of xD; the Bessel section is pentadiagonal and
+needs no H^k at all.  Every other derivative term keeps H^k.  On a Jacobi
+or Laguerre basis the Volterra matrix is theta's three diagonals under its
+dense row 0, so p(M) V is banded below its first deg p + 1 rows.
 
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
 a column block can reach: at most h below the block, and, when every term's
 matrix is banded, at most the widest upper band plus the chain's degree
-above it.  The chain writes into a Section, blocks of 64 rows each held
-over the columns its rows can reach, so Pi is never one array.
+above it, and the dense leading rows.  The chain writes into a Section,
+blocks of 64 rows each held over the columns its rows can reach, so Pi is
+never one array.
 
 Nor is the square Tau matrix built.  It is read from the condition rows and
 the section's blocks above row n+1-m_c, each cut to the columns from its
 first to its last nonzero; the almost-banded QR factors those blocks,
-keeping dense rows such as the condition rows apart, the extended-precision
-refinement residual reads the same blocks, and the blocks below give the
-residual tail.  On a banded section a solve holds O(n * (64 + bandwidth))
-entries in all, Pi included.
+keeping dense rows such as the condition rows and a Volterra row 0 apart,
+the extended-precision refinement residual reads the same blocks, and the
+blocks below give the residual tail.  On a banded section a solve holds
+O(n * (64 + bandwidth)) entries in all, Pi included.
 """
 
 from __future__ import annotations
@@ -45,7 +50,9 @@ import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
 from .linalg import cond_estimate_factored, qr_factor, qr_solve
-from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, _xd_powers, volterra_matrix
+from .opmatrix import (
+    MAX_SECTION_SIZE, _derivative_table, _integral_band, _shift_apply, _xd_powers, volterra_matrix
+)
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -221,7 +228,10 @@ class TauSolution:
 class Section:
     """An operator section of the given shape held as (rows, values, cols)
     triples of slices and arrays: blocks of _BLOCK rows in row order, each
-    holding its rows over the columns cols, with zeros outside them."""
+    holding its rows over the columns cols, with zeros outside them.  From
+    assemble_pi, those are the columns its rows can reach: its rows widened
+    by the section's bandwidths, out to the last column when it holds a
+    dense leading row (a Volterra row 0) or a term matrix is dense."""
 
     shape: tuple[int, int]
     blocks: list
@@ -255,65 +265,91 @@ def operator_height(terms) -> int:
     return max([0, *(t.degree - t.order for t in terms)])
 
 
-def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int, upper: int) -> Section:
-    """Sum of p(M) @ A over the (p, A) terms (A = None for the identity, a
-    list of diagonals A[i, i+o], o = 0, 1, ..., for a band), with M the shift
-    of the recurrence arrays (alpha, beta, gamma), by one Horner chain: from
-    the top degree down, t <- M t + sum of p_k A.
+@dataclass(frozen=True)
+class _Band:
+    """A term matrix as its diagonals at offsets low, low + 1, ..., each in
+    np.diagonal's order, with its first rows dense: lead[i] is row i, in
+    place of the diagonals' entries there."""
+
+    diags: list
+    low: int = 0
+    lead: np.ndarray | None = None
+
+    def block(self, r0: int, r: int, c0: int, c1: int) -> np.ndarray:
+        """Rows r0..r-1, columns c0..c1-1, as an array."""
+        blk = np.zeros((r - r0, c1 - c0))
+        for o, d in enumerate(self.diags, self.low):
+            i = np.arange(max(r0, c0 - o, -o), min(r, c1 - o, d.shape[0] - min(o, 0)))
+            blk[i - r0, i + o - c0] = d[i + min(o, 0)]
+        if self.lead is not None and r0 < self.lead.shape[0]:
+            blk[: self.lead.shape[0] - r0] = self.lead[r0:r, c0:c1]
+        return blk
+
+
+def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int) -> Section:
+    """Sum of p(M) @ A over the (p, A) terms (A = None for the identity, an
+    array, or a _Band), with M the shift of the recurrence arrays (alpha,
+    beta, gamma), by one Horner chain: from the top degree down,
+    t <- M t + sum of p_k A.
 
     height bounds how far any term raises indices (deg p plus the lower
     bandwidth of A), so column j of every partial sum vanishes below row
-    j + height.  upper bounds the upper bandwidth of every A, so column j
-    vanishes above row j - upper - top, top the degree of the chain.  The
-    chain runs on blocks of _BLOCK columns, each cut to the rows between
-    those bounds, and writes them into row blocks of _BLOCK rows, each held
-    over the columns its rows can reach; the entries outside are exact zeros
-    of the full chain.  shape has at least as many rows as columns, and each
-    A at least shape entries.  A band enters a block as the diagonals that
-    cross it, zeros elsewhere: the full array's sum, bit for bit.
+    j + height.  upper bounds the upper bandwidth of every A (the whole
+    section for an array), so column j vanishes above row j - upper - top,
+    top the degree of the chain, except in the rows [0, lead) that a band's
+    dense rows reach after deg p products with M.  The chain runs on blocks
+    of _BLOCK columns, each cut to the rows between those bounds and to the
+    lead rows, and writes them into row blocks of _BLOCK rows, each held
+    over the columns its rows can reach; the entries outside are exact
+    zeros of the full chain.  shape has at least as many rows as columns,
+    and each A at least shape entries.  A band enters a block as its entries
+    that fall in it, zeros elsewhere: the full array's sum, bit for bit.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
+    upper = max(a.low + len(a.diags) - 1 if isinstance(a, _Band) else 0 if a is None else rows for _, a in terms)
+    bands = [(p, a.lead) for p, a in terms if isinstance(a, _Band) and a.lead is not None]
+    lead = max([dense.shape[0] + p.shape[0] - 1 for p, dense in bands], default=0)
     out = []
     for i0 in range(0, rows, _BLOCK):
         i1 = min(i0 + _BLOCK, rows)
-        j1 = min(cols, i1 + upper + top)
+        j1 = cols if i0 < lead else min(cols, i1 + upper + top)
         j0 = min(max(0, i0 - height), j1)
         out.append((slice(i0, i1), np.zeros((i1 - i0, j1 - j0)), slice(j0, j1)))
     for c0 in range(0, cols, _BLOCK):
         c1 = min(c0 + _BLOCK, cols)
         r0, r = max(0, c0 - upper - top), min(rows, c1 + height)
-        shift = [a[r0:] for a in recurrence]
-        diag = (np.arange(c0 - r0, c1 - r0), np.arange(c1 - c0))
-        blocks = [_term_block(a_mat, r0, r, c0, c1) for _, a_mat in terms]
-        t = np.zeros((r - r0, c1 - c0))
-        for k in range(top, -1, -1):
-            if k < top:
-                t = _shift_apply(*shift, t)
-            for (p, _), blk in zip(terms, blocks):
-                if k < p.shape[0] and blk is None:
-                    t[diag] += p[k]
-                elif k < p.shape[0]:
-                    t += p[k] * blk
-        for rs, vals, cs in out[r0 // _BLOCK : -(-r // _BLOCK)]:
-            i0, i1 = max(r0, rs.start), min(r, rs.stop)
-            j0, j1 = max(c0, cs.start), min(c1, cs.stop)
-            if j0 < j1:
-                dst = vals[i0 - rs.start : i1 - rs.start, j0 - cs.start : j1 - cs.start]
-                dst[...] = t[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
+        # the lead rows and the band rows, in one span where they touch
+        for r0, r in [(0, r)] if r0 <= lead else [(0, lead), (r0, r)] if lead else [(r0, r)]:
+            t = _chain(recurrence, terms, top, r0, r, c0, c1)
+            for rs, vals, cs in out[r0 // _BLOCK : -(-r // _BLOCK)]:
+                i0, i1 = max(r0, rs.start), min(r, rs.stop)
+                j0, j1 = max(c0, cs.start), min(c1, cs.stop)
+                if j0 < j1:
+                    dst = vals[i0 - rs.start : i1 - rs.start, j0 - cs.start : j1 - cs.start]
+                    dst[...] = t[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
     return Section(shape, out)
 
 
-def _term_block(a_mat, r0: int, r: int, c0: int, c1: int):
-    """Rows r0..r-1, columns c0..c1-1 of a term's matrix: a slice of an
-    array, or the entries of a list of diagonals that fall in the block."""
-    if not isinstance(a_mat, list):
-        return None if a_mat is None else a_mat[r0:r, c0:c1]
-    blk = np.zeros((r - r0, c1 - c0))
-    for o, d in enumerate(a_mat):
-        i = np.arange(max(r0, c0 - o), min(r, c1 - o, d.shape[0]))
-        blk[i - r0, i + o - c0] = d[i]
-    return blk
+def _chain(recurrence, terms, top: int, r0: int, r: int, c0: int, c1: int) -> np.ndarray:
+    """Rows r0..r-1, columns c0..c1-1 of the Horner chain, with the rows
+    outside taken as zero."""
+    shift = [a[r0:] for a in recurrence]
+    i = np.arange(max(r0, c0), min(r, c1))
+    diag = (i - r0, i - c0)
+    blocks = [
+        a.block(r0, r, c0, c1) if isinstance(a, _Band) else a if a is None else a[r0:r, c0:c1] for _, a in terms
+    ]
+    t = np.zeros((r - r0, c1 - c0))
+    for k in range(top, -1, -1):
+        if k < top:
+            t = _shift_apply(*shift, t)
+        for (p, _), blk in zip(terms, blocks):
+            if k < p.shape[0] and blk is None:
+                t[diag] += p[k]
+            elif k < p.shape[0]:
+                t += p[k] * blk
+    return t
 
 
 def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
@@ -322,6 +358,14 @@ def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
     k = term.order
     divisible = k >= 1 and term.degree >= k and not np.any(term.coeff[:k])
     return k if divisible and basis.family == "laguerre" else 0
+
+
+def _volterra_band(basis: RecurrenceBasis, s: int, lower: float):
+    """The Volterra matrix: theta's diagonals under row 0, or a custom array."""
+    if basis.family == "custom":
+        return volterra_matrix(basis, s, lower)
+    diagonals, row0 = _integral_band(basis, s, lower)
+    return _Band(diagonals, -1, row0[None])
 
 
 def assemble_pi(problem: TauProblem) -> Section:
@@ -337,15 +381,12 @@ def assemble_pi(problem: TauProblem) -> Section:
     factors = _xd_powers(s, banded) if banded else {}
     powers = _derivative_table(*recurrence, s, dense) if dense else {}  # I = D^0: None
     terms = [
-        (t.coeff[k:], factors[k])
+        (t.coeff[k:], _Band(factors[k]))
         if k
-        else (t.coeff, volterra_matrix(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
+        else (t.coeff, _volterra_band(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
         for t, k in zip(problem.operator, xd)
     ]
-    # Upper bandwidths: k for x^k D^k, 0 for I, the whole section for H^k
-    # and the Volterra matrix.
-    upper = max(s if t.order and not k else k for t, k in zip(problem.operator, xd))
-    return _poly_in_shift(recurrence, terms, (s, n + 1), h, upper)
+    return _poly_in_shift(recurrence, terms, (s, n + 1), h)
 
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
@@ -356,7 +397,7 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d, 0).to_dense()[:, 0]
+    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d).to_dense()[:, 0]
 
 
 def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:

@@ -479,6 +479,15 @@ def _solve_edited(old, new):
 
 
 _CONDITION = BASE_CONFIG["conditions"][0]
+VOLTERRA_LOWER_OVERFLOW = {
+    "degree": 100,
+    "operator": [
+        {"action": "identity", "coeff": [1.0]},
+        {"action": "volterra", "coeff": [1.0], "lower": 1e300},
+    ],
+    "conditions": [],
+    "rhs": {"coeff": [1.0]},
+}
 
 # Each input once ended in a traceback, an exit 1, a NaN/inf file with exit 0,
 # an exit code that depended on what first touched a non-finite value, or
@@ -511,6 +520,8 @@ BAD_INPUTS = {
         None,
         3,
     ),
+    # nu_j(1e300) overflows, so row 0 of the banded Volterra term is not finite.
+    "volterra-lower-overflow": (*_solve(**VOLTERRA_LOWER_OVERFLOW), 3),
     "opmatrix-lower-nan": (
         ["opmatrix", "--kind", "volterra", "--lower=nan", "--size", "8", "-o", "{out}"],
         None,
@@ -540,6 +551,15 @@ BAD_INPUTS = {
         3,
     ),
 }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_volterra_lower_overflow_is_a_non_finite_tau_system(tmp_path, capsys):
+    argv, config = _solve(**VOLTERRA_LOWER_OVERFLOW)
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_bytes(config)
+    assert main([a.format(cfg=cfg_path, out=tmp_path / "out") for a in argv]) == 3
+    assert "numerical failure: Tau system is not finite" in capsys.readouterr().err
 
 
 # Each sets a size far past its bound.  Unchecked, each would allocate

@@ -202,6 +202,22 @@ def test_bessel_section_holds_its_band():
     assert sum(vals.size for _, vals, _ in section.blocks) <= 0.15 * (n + 1) ** 2
 
 
+# The table2 problem: the Volterra matrix is theta's three diagonals under
+# its dense row 0, so only the section's first row block spans every column.
+# Measured 0.34 and 0.066 when these bounds were set; 1.62 and 0.52 with an
+# s x s Volterra matrix.
+def test_volterra_solve_holds_no_square_array():
+    n = 2000
+    peak = _traced(solve_tau, _volterra_problem(jacobi(1.0, -0.9), n))[1]
+    assert peak <= 0.5 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
+
+
+def test_volterra_section_holds_its_band_and_row_block_0():
+    n = 2000
+    section = assemble_pi(_volterra_problem(jacobi(1.0, -0.9), n))
+    assert sum(vals.size for _, vals, _ in section.blocks) <= 0.1 * (n + 1) ** 2
+
+
 @pytest.mark.parametrize(
     "basis, operator, rtol",
     [
@@ -489,6 +505,40 @@ BANDED_PROBLEMS = {
     "bessel-laguerre-300": bessel_problem(10, 300),
     "airy-legendre-200": airy_problem(LEG, 200, 1e-3),
     "volterra-jacobi(1,-0.9)-120": _volterra_problem(jacobi(1.0, -0.9), 120),
+    # Column block 0 runs the Volterra section's dense rows and its band in
+    # one chain, every later block in two; n = 63 has one column block.
+    "volterra-quadratic-p-jacobi(1,-0.9)-130": TauProblem(
+        basis=jacobi(1.0, -0.9),
+        operator=[identity_term([1.0, 0.5]), volterra_term([0.5, -1.2, 0.3], lower=-1.0)],
+        conditions=[],
+        rhs=[0.0],
+        degree=130,
+    ),
+    "two-volterra-jacobi(10,0)-64": TauProblem(
+        basis=jacobi(10.0, 0.0),
+        operator=[
+            identity_term([2.0, 0.0, -1.0]),
+            volterra_term([1.0], lower=-1.0),
+            volterra_term([0.0, 0.7], lower=0.5),
+        ],
+        conditions=[],
+        rhs=[0.0],
+        degree=64,
+    ),
+    "volterra-laguerre-63": TauProblem(
+        basis=laguerre(),
+        operator=[identity_term([1.0]), volterra_term([1.0, -0.5], lower=0.0)],
+        conditions=[],
+        rhs=[0.0],
+        degree=63,
+    ),
+    "volterra-laguerre-130": TauProblem(
+        basis=laguerre(),
+        operator=[identity_term([1.0]), volterra_term([1.0, -0.5], lower=2.5)],
+        conditions=[],
+        rhs=[0.0],
+        degree=130,
+    ),
     "identity-jacobi(0.5,-0.5)-300": TauProblem(
         basis=jacobi(0.5, -0.5),
         operator=[identity_term([1.0, -2.0, 3.0])],
@@ -633,11 +683,12 @@ def _bandwidths(t, dense):
     return int(np.max(rows - cols)), int(np.max(cols - rows))
 
 
-# (problem, rows above the band): Bessel's two condition rows; the first
-# deg p + 1 = 4 rows of the Volterra section p(M) V; Airy's H^2 is dense.
+# (problem, rows above the band): Bessel's two condition rows; row 0 of the
+# Volterra section, whose Volterra term has p = 1 (the cubic multiplies the
+# identity); Airy's H^2 is dense.
 RESIDUAL_PROBLEMS = {
     "bessel-500": (bessel_problem(10, 500), 2),
-    "volterra-200": (_volterra_problem(jacobi(1.0, -0.9), 200), 4),
+    "volterra-200": (_volterra_problem(jacobi(1.0, -0.9), 200), 1),
     "airy-200": (airy_problem(LEG, 200, 1e-3), None),
 }
 

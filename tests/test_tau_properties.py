@@ -48,7 +48,7 @@ def _dense_route(problem):
     orders = {t.order for t in problem.operator if t.order > 0}
     powers = _derivative_table(*recurrence, s, orders) if orders else {}
     terms = [(t.coeff, powers.get(t.order)) for t in problem.operator]
-    return tau._poly_in_shift(recurrence, terms, (s, n + 1), s - n - 1, s).to_dense()
+    return tau._poly_in_shift(recurrence, terms, (s, n + 1), s - n - 1).to_dense()
 
 
 def _exact_section(problem):
