@@ -8,11 +8,12 @@ and the classic route through the monomial basis.
 
 Commands raise; ``main`` alone maps an exception to an exit code and one
 ``tau-spectra: ...`` status line on standard error: 0 success; 2 ``config
-error`` for invalid input anywhere (schema violations, unusable values,
-NaN/Infinity literals or numbers overflowing to infinity in a config, sizes
-past their bounds, bad command-line values); 3 ``numerical failure`` for a
-singular or non-finite Tau system, non-finite coefficients, residual tail or
-output values, or overflow; 4 ``I/O error``.  Commands run with numpy
+error`` for invalid input anywhere (schema violations, a config nested
+too deeply to read, unusable values, NaN/Infinity literals or numbers
+overflowing to infinity in a config, sizes past their bounds, bad
+command-line values); 3 ``numerical failure`` for a singular or non-finite
+Tau system, non-finite coefficients, residual tail or output values, or
+overflow; 4 ``I/O error``.  Commands run with numpy
 floating-point warnings off, so the finiteness checks decide and no warning
 precedes the status line.  No input ends in a traceback, and no NaN or
 infinity is written with exit 0.
@@ -29,7 +30,6 @@ import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre, monomial
@@ -185,19 +185,63 @@ CONFIG_SCHEMA = {
 }
 
 
-@functools.cache
-def _config_validator():
-    """Validator for CONFIG_SCHEMA, the schema itself checked once per process."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
 
 
-def _validate_config(cfg: dict) -> None:
-    """Raise the ValidationError that jsonschema.validate would raise."""
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
-    if error is not None:
-        raise error
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for each way value breaks schema under JSON
+    Schema Draft 2020-12, in the order and with the wording of the reference
+    validator that tests/test_cli_properties.py compares against.
+
+    Knows exactly the keywords CONFIG_SCHEMA uses: type, enum, required,
+    properties, additionalProperties (false only), items, minItems, minimum
+    and maximum.  Each subschema's keywords run in dict order."""
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _JSON_TYPES["number"](value)
+    for key, rule in schema.items():
+        if key == "type" and not _JSON_TYPES[rule](value):
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and value not in rule:
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "required" and is_object:
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and is_object:
+            extras = sorted(name for name in value if name not in schema.get("properties", {}))
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                listed = ", ".join(map(repr, extras))
+                yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif key == "properties" and is_object:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], (*path, name))
+        elif key == "items" and is_array:
+            for index, item in enumerate(value):
+                yield from _schema_errors(rule, item, (*path, index))
+        elif key == "minItems" and is_array and len(value) < rule:
+            yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "minimum" and is_number and value < rule:
+            yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "maximum" and is_number and value > rule:
+            yield path, f"{value!r} is greater than the maximum of {rule!r}"
+
+
+def _validate_config(cfg) -> None:
+    """Raise ConfigError with the message of the error the reference
+    validator would report: the shallowest path, then the greatest path,
+    then the first one yielded."""
+    errors = _schema_errors(CONFIG_SCHEMA, cfg)
+    best = max(errors, key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is not None:
+        raise ConfigError(best[1])
 
 
 def _status(msg: str) -> None:
@@ -219,7 +263,7 @@ def _finite_float(text: str) -> float:
 
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -309,9 +353,12 @@ def _problem_from_config(cfg: dict):
 
 
 def cmd_solve(args: argparse.Namespace) -> None:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-    _validate_config(cfg)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        _validate_config(cfg)
+    except RecursionError:
+        raise ConfigError("config is nested too deeply") from None
     problem, grid, ref = _problem_from_config(cfg)
     solution = solve_tau(problem)
 
@@ -567,9 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(all="ignore"):
             args.func(args)
-    except jsonschema.ValidationError as exc:
-        _status(f"config error: {exc.message}")
-        return EXIT_CONFIG
     except ValueError as exc:
         _status(f"config error: {exc}")
         return EXIT_CONFIG

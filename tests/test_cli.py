@@ -154,22 +154,6 @@ def test_oversized_rhs_exits_before_assembly(tmp_path, monkeypatch, capsys):
     assert not out_path.exists()
 
 
-def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
-    validator_class = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
-    check_schema = validator_class.check_schema
-    checked = []
-
-    def counting_check_schema(schema, **kwargs):
-        checked.append(schema)
-        return check_schema(schema, **kwargs)
-
-    monkeypatch.setattr(validator_class, "check_schema", counting_check_schema)
-    cfg_path = _write_config(tmp_path, BASE_CONFIG)
-    for name in ("a.csv", "b.csv"):
-        assert main(["solve", cfg_path, "-o", str(tmp_path / name)]) == 0
-    assert len(checked) <= 1
-
-
 def test_parser_is_built_once_and_each_call_is_fresh(tmp_path, capsys):
     cli._build_parser.cache_clear()
     fig = tmp_path / "fig"
@@ -218,6 +202,32 @@ def test_schema_violation_reports_what_validate_raises(tmp_path, capsys, cfg):
     cfg_path = _write_config(tmp_path, cfg)
     assert main(["solve", cfg_path, "-o", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == f"tau-spectra: config error: {raised.value.message}\n"
+
+
+def _schema_keywords(schema):
+    """Every keyword used anywhere in a schema, with its values."""
+    for key, rule in schema.items():
+        yield key, rule
+        if key == "properties":
+            for sub in rule.values():
+                yield from _schema_keywords(sub)
+        elif key == "items":
+            yield from _schema_keywords(rule)
+
+
+def test_config_schema_is_valid_and_uses_only_checked_keywords():
+    # The schema is Draft 2020-12 (the default for a schema without
+    # $schema), and cli._schema_errors implements each keyword it uses.
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    assert jsonschema.validators.validator_for(cli.CONFIG_SCHEMA) is jsonschema.Draft202012Validator
+    used = list(_schema_keywords(cli.CONFIG_SCHEMA))
+    checked = {
+        "type", "enum", "required", "properties", "additionalProperties", "items",
+        "minItems", "minimum", "maximum",
+    }
+    assert {key for key, _ in used} <= checked
+    assert {rule for key, rule in used if key == "type"} <= cli._JSON_TYPES.keys()
+    assert all(rule is False for key, rule in used if key == "additionalProperties")
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -345,12 +355,15 @@ def test_bessel_reference_on_a_grid_through_1e_minus_60(tmp_path):
 
 def test_solve_runs_without_scipy(tmp_path):
     # scipy may be installed but is not a dependency: no module may import it.
+    # jsonschema is a test dependency only: the CLI checks configs itself.
     cfg_path = _write_config(tmp_path, BASE_CONFIG)
     out_path = tmp_path / "out.csv"
     code = (
         "import sys; sys.modules['scipy'] = None; "
-        "from tau_spectra.cli import main; "
-        f"sys.exit(main(['solve', {cfg_path!r}, '-o', {str(out_path)!r}]))"
+        "import tau_spectra.cli; "
+        "assert 'jsonschema' not in sys.modules, 'tau_spectra.cli imported jsonschema'; "
+        "sys.modules['jsonschema'] = None; "
+        f"sys.exit(tau_spectra.cli.main(['solve', {cfg_path!r}, '-o', {str(out_path)!r}]))"
     )
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -543,6 +556,11 @@ BAD_INPUTS = {
         ),
         3,
     ),
+    # Nesting past the interpreter's recursion limit: json.load gives up on
+    # both (test_value_too_deep_to_quote_is_a_config_error covers a value
+    # that parses but is too deep for its message).
+    "config-nested-100000-deep": (_solve()[0], b"[" * 100000 + b"]" * 100000, 2),
+    "degree-nested-995-deep": (*_solve_edited(b'"degree": 1', b'"degree": ' + b"[" * 995 + b"]" * 995), 2),
     "condition-deriv-300-at-degree-400": (
         *_solve(
             degree=400,
@@ -551,6 +569,18 @@ BAD_INPUTS = {
         3,
     ),
 }
+
+
+def test_value_too_deep_to_quote_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # json.load gives up on both nested BAD_INPUTS first; a value it did
+    # parse can still be too deep for the message that quotes it.
+    deep = 0
+    for _ in range(100_000):
+        deep = [deep]
+    cfg = {**BASE_CONFIG, "degree": deep}
+    monkeypatch.setattr(cli.json, "load", lambda fh, **kwargs: cfg)
+    assert main(["solve", _write_config(tmp_path, BASE_CONFIG), "-o", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "tau-spectra: config error: config is nested too deeply\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
