@@ -11,98 +11,43 @@ in compact WY form, one product for the explicit part of R, running sums of
 C x (or W^T x) for its fill, and the inverse of each triangular diagonal
 block of R, formed once per factorization.
 
-LU with partial pivoting (recording pivots and a growth-factor estimate)
-serves the condition estimate of general square matrices.  Its factors are
-packed in place: after step k, row k holds U to the right of the diagonal
-and column k holds the multipliers of L below it, so P A = L U with the
-unit diagonal of L implied.  Substitution walks the same packed array:
-forward with L then backward with U for A x = b, and forward with U^T then
-backward with L^T (undoing the row swaps last) for A^T x = b.
+The same factors feed a Hager-style 1-norm condition estimate.
 
-These four triangular solves run one blocked kernel (Golub & Van Loan,
-Matrix Computations, section 3.1): per block of _BLOCK rows, one BLAS GEMV
-subtracts the part of the solution already known, and np.linalg.solve
-solves the diagonal block, so a few dozen Python steps replace n of them.
-Every diagonal block goes to LAPACK upper triangular (a lower one with its
-rows and columns reversed).  Each column of such a block is zero below the
-diagonal, so getrf takes the diagonal entry as the pivot, forms zero
-multipliers and leaves the block as its own U; getrs then solves with an
-identity L and runs plain back substitution with that U.
-
-solve_upper_triangular keeps its per-row loop.  It serves the integral
-matrices of custom bases and the change-of-basis comparison route, whose
-low-degree agreement test sits within roundoff of its bound, so it keeps
-its exact rounding.
-
-Both factorizations feed one Hager-style 1-norm condition estimate.
+solve_upper_triangular is per-row back substitution.  It serves the
+integral matrices of custom bases and the change-of-basis comparison route,
+whose low-degree agreement test sits within roundoff of its bound, so it
+keeps that exact rounding.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "SingularMatrixError",
-    "LUFactors",
-    "lu_factor",
-    "lu_solve_factored",
-    "lu_solve_transposed",
     "QRFactors",
     "qr_factor",
     "qr_solve",
     "qr_solve_transposed",
     "solve_upper_triangular",
-    "cond_estimate_1",
     "cond_estimate_factored",
 ]
 
 
 class SingularMatrixError(ArithmeticError):
-    """Factorization met a column whose pivot candidates are all exactly zero."""
+    """A diagonal entry of R, or of a triangular matrix being solved with,
+    is exactly zero; pivot_index is its index."""
 
     def __init__(self, pivot_index: int):
         super().__init__(f"matrix is singular: zero pivot column at index {pivot_index}")
         self.pivot_index = pivot_index
 
 
-_BLOCK = 64  # rows per diagonal block of the substitutions, and per max|U| block
-
-
-@dataclass
-class LUFactors:
-    """Packed LU of a row permutation of A: P A = L U.
-
-    lu holds L strictly below the diagonal (unit diagonal implied) and U on
-    and above it; piv[k] is the row swapped into position k; growth is
-    max|U| / max|A|, the standard element-growth measure.  The permutation
-    as one index array and the diagonal blocks of L and U, which every
-    substitution reuses, are derived once here.
-    """
-
-    lu: np.ndarray
-    piv: np.ndarray
-    growth: float
-    perm: np.ndarray = field(init=False, repr=False)
-    lower_blocks: list = field(init=False, repr=False)
-    upper_blocks: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.lu.shape[0]
-        perm = list(range(n))
-        for k, p in enumerate(self.piv.tolist()):
-            perm[k], perm[p] = perm[p], perm[k]
-        self.perm = np.array(perm, dtype=np.int64)
-        diag = [self.lu[k : k + _BLOCK, k : k + _BLOCK] for k in range(0, n, _BLOCK)]
-        self.lower_blocks = [np.tril(d, -1) + np.eye(d.shape[0]) for d in diag]
-        self.upper_blocks = [np.triu(d) for d in diag]
-
-    @property
-    def size(self) -> int:
-        return self.lu.shape[0]
+_BLOCK = 64  # columns per block of the QR
 
 
 def _as_square(a) -> np.ndarray:
@@ -118,100 +63,11 @@ def _reach(first: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(first.shape[0]), "right")
 
 
-def lu_factor(a) -> LUFactors:
-    """Factor a copy of a; raises SingularMatrixError on an exactly zero pivot."""
-    work = np.array(_as_square(a), order="C")
-    maxa = float(np.maximum(work.max(), -work.min()))  # max|A|, no n x n temporary
-    n = work.shape[0]
-    # Row i is zero left of column first[i], so column j is zero from row
-    # reach[j] down, reach[j] one past the last row with first <= j; row
-    # swaps and updates stay above reach, so the envelope holds throughout.
-    first = np.empty(n, dtype=np.int64)
-    for i in range(0, n, _BLOCK):
-        nonzero = work[i : i + _BLOCK] != 0.0
-        first[i : i + _BLOCK] = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n)
-    reach = _reach(first)
-    piv = np.zeros(n, dtype=np.int64)
-    for k in range(n):
-        end = max(int(reach[k]), k + 1)
-        p = k + int(np.argmax(np.abs(work[k:end, k])))
-        piv[k] = p
-        if work[p, k] == 0.0:
-            raise SingularMatrixError(k)
-        if p != k:
-            work[[k, p]] = work[[p, k]]
-        work[k + 1 :, k] /= work[k, k]  # below reach too: zeros keep the pivot's sign
-        # A zero multiplier leaves its row unchanged, so the update stops at
-        # the last nonzero one: below the band of a Tau matrix (m_c + h rows
-        # under the diagonal) it would rewrite the trailing block for nothing.
-        nonzero = np.flatnonzero(work[k + 1 : end, k])
-        if nonzero.size:
-            end = k + 2 + int(nonzero[-1])
-            work[k + 1 : end, k + 1 :] -= work[k + 1 : end, k, None] * work[k, k + 1 :]
-    # max|U| over blocks of _BLOCK rows, so no temporary is n x n
-    blocks = range(0, n, _BLOCK)
-    maxu = float(np.max([np.max(np.abs(np.triu(work[i : i + _BLOCK], i))) for i in blocks]))
-    growth = maxu / maxa if maxa > 0.0 else 1.0
-    return LUFactors(lu=work, piv=piv, growth=growth)
-
-
-def _substitute(a: np.ndarray, blocks, x: np.ndarray, upper: bool) -> np.ndarray:
-    """Overwrite x (a vector or columns) with T^{-1} x, T the upper (lower)
-    triangle of a, whose diagonal blocks of _BLOCK rows are blocks.
-
-    Block by block in the order substitution visits them: one GEMV (GEMM for
-    columns) subtracts the part already solved, then LAPACK solves the
-    diagonal block.  A lower block is solved with its rows and columns
-    reversed, which makes it upper triangular.  Raises SingularMatrixError
-    at the first zero diagonal entry substitution would divide by.
-    """
-    n = a.shape[0]
-    starts = range(0, n, _BLOCK)
-    for k0, blk in reversed(list(zip(starts, blocks))) if upper else zip(starts, blocks):
-        k1 = k0 + blk.shape[0]
-        if upper and k1 < n:
-            x[k0:k1] -= a[k0:k1, k1:] @ x[k1:]
-        elif not upper and k0 > 0:
-            x[k0:k1] -= a[k0:k1, :k0] @ x[:k0]
-        if not upper:
-            blk = blk[::-1, ::-1]
-        zero = np.flatnonzero(np.diagonal(blk) == 0.0)
-        if zero.size:
-            raise SingularMatrixError(k0 + int(zero[-1]) if upper else k1 - 1 - int(zero[-1]))
-        rhs = x[k0:k1] if upper else x[k0:k1][::-1]
-        try:
-            sol = np.linalg.solve(blk, rhs)
-        except np.linalg.LinAlgError:
-            # only NaN can steer the pivot search off the nonzero diagonal
-            sol = np.full(rhs.shape, np.nan)
-        x[k0:k1] = sol if upper else sol[::-1]
-    return x
-
-
 def _rhs_copy(factors, b) -> np.ndarray:
     x = np.array(b, dtype=np.float64, copy=True)
     if x.shape != (factors.size,):
         raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
     return x
-
-
-def lu_solve_factored(factors: LUFactors, b) -> np.ndarray:
-    """Solve A x = b given factors of A: L then U."""
-    x = _rhs_copy(factors, b)[factors.perm]
-    _substitute(factors.lu, factors.lower_blocks, x, upper=False)
-    return _substitute(factors.lu, factors.upper_blocks, x, upper=True)
-
-
-def lu_solve_transposed(factors: LUFactors, b) -> np.ndarray:
-    """Solve A^T x = b from the factors of A (no refactorization): U^T, then
-    L^T, then the row swaps undone."""
-    x = _rhs_copy(factors, b)
-    lu_t = factors.lu.T
-    _substitute(lu_t, [u.T for u in factors.upper_blocks], x, upper=False)
-    _substitute(lu_t, [l.T for l in factors.lower_blocks], x, upper=True)
-    out = np.empty_like(x)
-    out[factors.perm] = x
-    return out
 
 
 class _QRBlock(NamedTuple):
@@ -399,26 +255,21 @@ def solve_upper_triangular(u, b) -> np.ndarray:
     return x[:, 0] if vec else x
 
 
-def cond_estimate_factored(factors, norm1: float) -> float:
-    """Condition estimate from existing factors (LUFactors or QRFactors) and
-    the 1-norm of the matrix: norm1 times Hager's lower-bound iteration for
-    ||A^{-1}||_1."""
-    if isinstance(factors, LUFactors):
-        solve, solve_transposed = lu_solve_factored, lu_solve_transposed
-    else:
-        solve, solve_transposed = qr_solve, qr_solve_transposed
+def cond_estimate_factored(factors: QRFactors, norm1: float) -> float:
+    """Condition estimate from the QR factors of A and its 1-norm: norm1
+    times Hager's lower-bound iteration for ||A^{-1}||_1."""
     n = factors.size
     x = np.full(n, 1.0 / n)
     est = 0.0
     prev_sign = np.zeros(n)
     for _ in range(5):
-        y = solve(factors, x)
+        y = qr_solve(factors, x)
         est = float(np.sum(np.abs(y)))
         sign = np.where(y >= 0.0, 1.0, -1.0)
         if np.array_equal(sign, prev_sign):
             break
         prev_sign = sign
-        z = solve_transposed(factors, sign)
+        z = qr_solve_transposed(factors, sign)
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= float(z @ x):
             break
@@ -428,20 +279,10 @@ def cond_estimate_factored(factors, norm1: float) -> float:
     # iteration stalling on unlucky starting points.
     if n > 1:
         i = np.arange(n)
-        y = solve(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
+        y = qr_solve(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
         est = max(est, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
     est *= norm1
     if not np.isfinite(est):
         return float("inf")
     return est
 
-
-def cond_estimate_1(a) -> float:
-    """Estimate of the 1-norm condition number; +inf for a singular matrix."""
-    a = _as_square(a)
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0)))
-    try:
-        factors = lu_factor(a)
-    except SingularMatrixError:
-        return float("inf")
-    return cond_estimate_factored(factors, norm1)

@@ -21,7 +21,6 @@ from tau_spectra import (
     assemble_pi,
     bessel_j,
     change_of_basis,
-    cond_estimate_1,
     derivative_matrix,
     derivative_term,
     eval_basis_derivs,
@@ -235,6 +234,41 @@ def test_conditioning_comparison():
     y_sim = solve_tau_system(problem, Section.from_dense(pi_sim))(grid)
     scale = float(np.max(np.abs(y_rec)))
     assert np.max(np.abs(y_rec - y_sim)) <= 1e-8 * scale
+    assert time.perf_counter() - start < 10.0
+
+
+def _legendre_cond_1_exact(s: int) -> Fraction:
+    """cond_1 of the s x s Legendre change-of-basis matrix V in rationals:
+    row j of V holds P_j in powers of x, row j of V^{-1} holds x^j in
+    Legendre polynomials."""
+    zero = [Fraction(0)] * s
+    v = [[Fraction(1)] + zero[1:], [Fraction(0), Fraction(1)] + zero[2:]]
+    for j in range(1, s - 1):
+        # P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1)
+        v.append([((2 * j + 1) * (v[j][k - 1] if k else 0) - j * v[j - 1][k]) / (j + 1) for k in range(s)])
+    inv = [[Fraction(1)] + zero[1:]]
+    for _ in range(1, s):
+        # x P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)
+        row = list(zero)
+        for k, c in enumerate(inv[-1]):
+            if c:
+                row[k + 1] += c * (k + 1) / (2 * k + 1)
+                if k:
+                    row[k - 1] += c * k / (2 * k + 1)
+        inv.append(row)
+    return max(sum(abs(r[i]) for r in v) for i in range(s)) * max(sum(abs(r[i]) for r in inv) for i in range(s))
+
+
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_condition_demo_cond_is_exact(n):
+    # Far above 1/eps a factorization-based estimate runs on factors that are
+    # mostly rounding (LU with Hager reads 4.93e37 at n = 100), so the value
+    # is held to the exact rational one.
+    start = time.perf_counter()
+    s = n + 1 + operator_height(volterra_problem(jacobi(0.0, 0.0), n, TABLE2_LOWER).operator)
+    exact = _legendre_cond_1_exact(s)
+    cond_v = condition_comparison(n)[2]
+    assert abs(Fraction(cond_v) - exact) <= Fraction(1, 10**12) * exact
     assert time.perf_counter() - start < 10.0
 
 

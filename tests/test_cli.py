@@ -412,7 +412,7 @@ def test_condition_demo_small_degree(capsys):
     out = capsys.readouterr().out
     assert "recurrence path sup error:" in out
     assert "similarity path sup error:" in out
-    assert "cond estimate of change-of-basis matrix:" in out
+    assert "cond_1 of change-of-basis matrix:" in out
 
 
 def test_condition_demo_rejects_tiny_n(capsys):
