@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre, monomial
+from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre, monomial, recurrence_arrays
 from .opmatrix import (
     derivative_matrix,
     integral_matrix,
@@ -526,11 +526,11 @@ def cmd_opmatrix(args: argparse.Namespace) -> None:
 
 def _cond_change_of_basis(basis: RecurrenceBasis, v: np.ndarray) -> float:
     """cond_1(V) = ||V||_1 ||V^{-1}||_1 with no factorization: row j of V^{-1}
-    holds the basis coefficients of x^j, the shift M applied to row j - 1.
-    For Legendre no term of either side cancels."""
+    holds the basis coefficients of x^j, the shift M (diagonals alpha, beta,
+    gamma) applied to row j - 1.  For Legendre no term of either side cancels."""
     s = v.shape[0]
-    m = shift_matrix(basis, s)
-    sub, diag, sup = np.diagonal(m, -1), np.diagonal(m), np.diagonal(m, 1)
+    alpha, beta, gamma = recurrence_arrays(basis, s)
+    sub, diag, sup = alpha[: s - 1], beta, gamma[1:]
     inv = np.zeros((s, s))
     inv[0, 0] = 1.0
     for j in range(1, s):

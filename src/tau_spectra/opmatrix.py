@@ -17,29 +17,29 @@ differentiating the recurrence d times gives, with H^0 = I and column 0 zero,
                    + d*H^(d-1)[i, j]) / alpha[j],
 
 so one pass over the columns builds every power up to the highest order
-asked for, without a matrix product.  Offset d = j+1-i reads only offsets
-<= d of column j, so the first few superdiagonals close on themselves and
-cost O(s).
+asked for, without a matrix product.
 
 The integral matrix theta solves eta @ theta = I below row 0; column j has
-theta[j+1, j] = a_j = alpha[j]/(j+1).
-Jacobi and Laguerre obey the structure relation nu_j = a_j nu_{j+1}' +
-b_j nu_j' + c_j nu_{j-1}' (Hahn 1935, Math. Z. 39; Al-Salam & Chihara 1972,
-SIAM J. Math. Anal. 3), so theta is tridiagonal below row 0 and rows j-1 and
-j-2 of eta @ theta = I give b_j and c_j from three superdiagonals of eta,
-which are built alone, in O(s).  The Volterra matrix from a is theta with
-row 0 set to -nu(a)[1:] @ theta[1:], which for these bases is a three-term
-sum per column, so one O(s) builder gives theta's diagonals and that row,
-and the assembly of tau holds them as a band under one dense row;
-integral_matrix and volterra_matrix scatter them into an array.
-Custom bases, the monomials among them, need not obey it: their theta[1:]
-solves eta[:s, 1:] @ theta[1:] = I by the back substitution similarity_pi
-uses (linalg.solve_upper_triangular), in O(s^3), and their Volterra row 0
-is that product.
+theta[j+1, j] = alpha[j]/(j+1).  Jacobi and Laguerre obey the structure
+relation nu_j = a_j nu_{j+1}' + b_j nu_j' + c_j nu_{j-1}' (Hahn 1935, Math.
+Z. 39; Al-Salam & Chihara 1972, SIAM J. Math. Anal. 3), so theta is
+tridiagonal below row 0.  Integration by parts, int x u = x int u -
+int int u, reads theta @ M - M @ theta + theta @ theta = 0 on rows >= 1, and
+its entries (j+1, j) and (j, j) telescope into two cumulative sums over
+alpha, beta and gamma that give theta's other two diagonals, in O(s).  The
+Volterra matrix from a is theta with row 0 set to -nu(a)[1:] @ theta[1:],
+which for these bases is a three-term sum per column, so one O(s) builder
+(_integral_band) gives theta's diagonals and that row, and the assembly of
+tau holds them as a band under one dense row; integral_matrix and
+volterra_matrix scatter them into an array.
+Custom bases, the monomials among them, need not obey the structure
+relation: their theta[1:] solves eta[:s, 1:] @ theta[1:] = I by the back
+substitution similarity_pi uses (linalg.solve_upper_triangular), in O(s^3),
+and their Volterra row 0 is that product.
 
-Truncation never corrupts stored entries: integral and Volterra builds run
-the underlying recurrences one index larger internally, so every returned
-entry equals the corresponding entry of the infinite matrix.
+Truncation never corrupts stored entries: every returned entry equals the
+corresponding entry of the infinite matrix (the custom back substitution
+runs the derivative recurrence one index larger internally).
 """
 
 from __future__ import annotations
@@ -116,33 +116,6 @@ def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1]
 
 
-def _derivative_superdiagonals(alpha, beta, gamma, s: int) -> tuple[np.ndarray, ...]:
-    """Superdiagonals 1, 2 and 3 of H on an s-section, in O(s).
-
-    Entry H[i, j+1] at offset d = j+1-i reads offsets <= d of column j, so
-    the order-1 column recurrence closes on the first three offsets.  Each
-    entry takes the operations _derivative_table applies to it, exact zeros
-    included, so all three equal np.diagonal(H, d) bit for bit.
-    """
-    al, be, ga = alpha.tolist(), beta.tolist(), gamma.tolist()
-    h = [[], [], [], []]  # h[d][i] = H[i, i+d]; the diagonal (d = 0) is zero
-
-    def entry(d: int, i: int) -> float:
-        return h[d][i] if d >= 1 else 0.0
-
-    for j in range(s - 1):
-        for d in range(1, min(j + 1, 3) + 1):
-            i = j + 1 - d
-            v = (be[i] - be[j]) * entry(d - 1, i) + ga[i + 1] * entry(d - 2, i + 1)
-            v -= ga[j] * entry(d - 2, i)
-            if i >= 1:
-                v += al[i - 1] * h[d][i - 1]
-            if d == 1:
-                v += 1.0
-            h[d].append(v / al[j])
-    return tuple(np.array(h[d]) for d in (1, 2, 3))
-
-
 def _xd_powers(s: int, orders) -> dict[int, list]:
     """{k: diagonals of x^k D^k} on an s-section for each k in orders,
     Laguerre basis only: entry o of the list holds A[i, i+o], o = 0..k.
@@ -172,18 +145,25 @@ def _xd_powers(s: int, orders) -> dict[int, list]:
 def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> tuple:
     """Theta of a classical basis on an s-section, row 0 zero, as its
     diagonals at offsets -1, 0, 1 in np.diagonal's order, in O(s); and given
-    a lower limit a, row 0 of the Volterra matrix (None without one).  With
-    sub[j] = theta[j+1, j] (sub[s-1] in the row past the section), diag[j] =
-    theta[j, j] and sup[j] = theta[j, j+1], that row sums the three terms of
-    -(nu(a)[1:] @ theta[1:]) in column j in float64 as
+    a lower limit a, row 0 of the Volterra matrix (None without one).
+
+    With sub[j] = theta[j+1, j] = alpha_j/(j+1) (sub[s-1] in the row past
+    the section), diag[j] = theta[j, j] and sup[j] = theta[j, j+1], both 0 at
+    j = 0, entries (j+1, j) and (j, j) of theta M - M theta + theta^2 = 0
+    telescope, for j >= 1, into
+        diag[j] = (j beta_j - sum_{k<j} beta_k) / (j (j+1)),
+        sup[j] = sum_{i=1..j} i (i+1) (gamma_{i+1} sub[i] - gamma_i sub[i-1]
+                 - diag[i]^2) / (j (j+2) alpha_j).
+    The Volterra row sums the three terms of -(nu(a)[1:] @ theta[1:]) in
+    column j in float64 as
     -((nu_{j-1}(a) sup[j-1] + nu_j(a) diag[j]) + nu_{j+1}(a) sub[j]).
     """
-    alpha, beta, gamma = recurrence_arrays(basis, s + 2)
-    sub = alpha[:s] / np.arange(1, s + 1)
-    diag, sup = np.zeros(s), np.zeros(s - 1)
-    h1, h2, h3 = _derivative_superdiagonals(alpha, beta, gamma, s + 1)
-    diag[1:] = -sub[1:] * h2[: s - 1] / h1[: s - 1]
-    sup[1:] = -(sub[2:] * h3 + diag[2:] * h2[: s - 2]) / h1[: s - 2]
+    alpha, beta, gamma = recurrence_arrays(basis, s)
+    j = np.arange(1.0, s)
+    sub = alpha / np.arange(1.0, s + 1)
+    diag = np.append(0.0, (j * beta[1:] - np.cumsum(beta[:-1])) / (j * (j + 1)))
+    terms = j[:-1] * j[1:] * (gamma[2:] * sub[1:-1] - gamma[1:-1] * sub[:-2] - diag[1:-1] ** 2)
+    sup = np.append(0.0, np.cumsum(terms) / (j[:-1] * (j[:-1] + 2) * alpha[1:-1]))
     if lower is None:
         return [sub[:-1], diag, sup], None
     nu = eval_basis_derivs(basis, s, lower)[0].astype(np.float64)

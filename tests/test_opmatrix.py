@@ -6,7 +6,6 @@ import pytest
 
 from tau_spectra.basis import clenshaw, custom, jacobi, laguerre, monomial, recurrence_arrays
 from tau_spectra.opmatrix import (
-    _derivative_superdiagonals,
     derivative_matrix,
     integral_matrix,
     shift_matrix,
@@ -151,16 +150,6 @@ def test_monomial_matrices_are_their_closed_forms(s):
     assert np.array_equal(shift_matrix(basis, s), shift)
     assert np.array_equal(derivative_matrix(basis, s), deriv)
     assert np.array_equal(integral_matrix(basis, s), theta)
-
-
-@pytest.mark.parametrize("s", [2, 3, 4, 5, 300, 1005])
-@pytest.mark.parametrize("basis", WITH_MONOMIAL, ids=WITH_MONOMIAL_IDS)
-def test_superdiagonals_equal_derivative_section_bitwise(basis, s):
-    # the O(s) recurrence behind the classical integral matrices
-    h = derivative_matrix(basis, s)
-    diagonals = _derivative_superdiagonals(*recurrence_arrays(basis, s + 1), s)
-    for k, diagonal in enumerate(diagonals, 1):
-        assert diagonal.tobytes() == np.ascontiguousarray(np.diagonal(h, k)).tobytes()
 
 
 @pytest.mark.parametrize("basis", WITH_MONOMIAL, ids=WITH_MONOMIAL_IDS)
