@@ -34,6 +34,7 @@ import numpy as np
 
 from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre, monomial, recurrence_arrays
 from .opmatrix import (
+    _shift_apply,
     derivative_matrix,
     integral_matrix,
     shift_matrix,
@@ -529,14 +530,11 @@ def _cond_change_of_basis(basis: RecurrenceBasis, v: np.ndarray) -> float:
     holds the basis coefficients of x^j, the shift M (diagonals alpha, beta,
     gamma) applied to row j - 1.  For Legendre no term of either side cancels."""
     s = v.shape[0]
-    alpha, beta, gamma = recurrence_arrays(basis, s)
-    sub, diag, sup = alpha[: s - 1], beta, gamma[1:]
+    recurrence = recurrence_arrays(basis, s)
     inv = np.zeros((s, s))
     inv[0, 0] = 1.0
     for j in range(1, s):
-        inv[j] = diag * inv[j - 1]
-        inv[j, 1:] += sub * inv[j - 1, :-1]
-        inv[j, :-1] += sup * inv[j - 1, 1:]
+        inv[j] = _shift_apply(*recurrence, inv[j - 1, :, None])[:, 0]
     return float(np.abs(v).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
 
 

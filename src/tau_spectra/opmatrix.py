@@ -29,13 +29,15 @@ its entries (j+1, j) and (j, j) telescope into two cumulative sums over
 alpha, beta and gamma that give theta's other two diagonals, in O(s).  The
 Volterra matrix from a is theta with row 0 set to -nu(a)[1:] @ theta[1:],
 which for these bases is a three-term sum per column, so one O(s) builder
-(_integral_band) gives theta's diagonals and that row, and the assembly of
-tau holds them as a band under one dense row; integral_matrix and
-volterra_matrix scatter them into an array.
+(_integral_band) gives theta's diagonals under that row.
 Custom bases, the monomials among them, need not obey the structure
 relation: their theta[1:] solves eta[:s, 1:] @ theta[1:] = I by the back
 substitution similarity_pi uses (linalg.solve_upper_triangular), in O(s^3),
 and their Volterra row 0 is that product.
+
+The builders of the term matrices tau assembles from return one form, _Band:
+diagonals under optional dense rows, every row dense for H^k and a custom
+theta.  integral_matrix and volterra_matrix return theta's band as an array.
 
 Truncation never corrupts stored entries: every returned entry equals the
 corresponding entry of the infinite matrix (the custom back substitution
@@ -43,6 +45,8 @@ runs the derivative recurrence one index larger internally).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +74,32 @@ def _check_size(s: int, smallest: int = 1) -> None:
         raise ValueError(f"matrix size must be in {smallest}..{MAX_SECTION_SIZE}, got {s}")
 
 
+@dataclass(frozen=True)
+class _Band:
+    """A square matrix as its diagonals at offsets low, low + 1, ..., each
+    whole and in np.diagonal's order, with its first rows dense: lead[i] is
+    row i, in place of the diagonals' entries there.  A dense matrix has no
+    diagonals and every row in lead; low is then the lowest offset it can
+    be nonzero at (k for H^k, -1 for theta)."""
+
+    diags: list
+    low: int = 0
+    lead: np.ndarray | None = None
+
+    def block(self, r0: int, r: int, c0: int, c1: int) -> np.ndarray:
+        """Rows r0..r-1, columns c0..c1-1, as an array: a view of lead when
+        its rows cover them."""
+        if self.lead is not None and r <= self.lead.shape[0]:
+            return self.lead[r0:r, c0:c1]
+        blk = np.zeros((r - r0, c1 - c0))
+        for o, d in enumerate(self.diags, self.low):
+            i = np.arange(max(r0, c0 - o), min(r, c1 - o))
+            blk[i - r0, i + o - c0] = d[i + min(o, 0)]
+        if self.lead is not None and r0 < self.lead.shape[0]:
+            blk[: self.lead.shape[0] - r0] = self.lead[r0:, c0:c1]
+        return blk
+
+
 def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
     """Product M @ t using only the tridiagonal coefficients of M."""
     s = t.shape[0]
@@ -86,11 +116,11 @@ def shift_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _shift_apply(*recurrence_arrays(basis, s), np.eye(s))
 
 
-def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, np.ndarray]:
-    """{d: H^d} on an s-section for each requested order d >= 1.  Column d-1
-    of t (w) holds column j (j-1) of H^d: O(r s) memory beyond the sections.
-    The sections are stored column-major, so writing a column is one
-    contiguous copy."""
+def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, _Band]:
+    """{d: H^d} on an s-section for each requested order d >= 1, each a band
+    whose every row is dense.  Column d-1 of t (w) holds column j (j-1) of
+    H^d: O(r s) memory beyond the sections.  The sections are stored
+    column-major, so writing a column is one contiguous copy."""
     r = max(orders)
     powers = {d: np.zeros((s, s), order="F") for d in orders}
     t, w = np.zeros((2, s, r))
@@ -106,19 +136,19 @@ def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, np.ndarra
         np.divide(col, alpha[j], out=t[: j + 1])
         for d in orders:
             powers[d][: j + 1, j + 1] = t[: j + 1, d - 1]
-    return powers
+    return {d: _Band([], d, h) for d, h in powers.items()}
 
 
 def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Strictly upper triangular matrix of d/dx: column j holds the
     nu-coefficients of nu_j'."""
     _check_size(s)
-    return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1]
+    return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1].lead
 
 
-def _xd_powers(s: int, orders) -> dict[int, list]:
-    """{k: diagonals of x^k D^k} on an s-section for each k in orders,
-    Laguerre basis only: entry o of the list holds A[i, i+o], o = 0..k.
+def _xd_powers(s: int, orders) -> dict[int, _Band]:
+    """{k: x^k D^k} on an s-section for each k in orders, Laguerre basis
+    only, as a band: its diagonal o holds A[i, i+o], o = 0..k.
 
     There S = xD is upper bidiagonal in closed form, x L_j' = j L_j - j
     L_{j-1}: S[i, i] = i and S[i, i+1] = -(i+1).  Each factor of
@@ -138,14 +168,14 @@ def _xd_powers(s: int, orders) -> dict[int, list]:
             for o in range(1, len(band)):
                 band[o] += s1[: s - o] * prev[o - 1][1:]
         if k in orders:
-            powers[k] = band
+            powers[k] = _Band(band)
     return powers
 
 
-def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> tuple:
-    """Theta of a classical basis on an s-section, row 0 zero, as its
-    diagonals at offsets -1, 0, 1 in np.diagonal's order, in O(s); and given
-    a lower limit a, row 0 of the Volterra matrix (None without one).
+def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> _Band:
+    """Theta of a classical basis on an s-section, row 0 zero, as a band of
+    its diagonals at offsets -1, 0, 1, in O(s); given a lower limit a, under
+    the dense row 0 of the Volterra matrix.
 
     With sub[j] = theta[j+1, j] = alpha_j/(j+1) (sub[s-1] in the row past
     the section), diag[j] = theta[j, j] and sup[j] = theta[j, j+1], both 0 at
@@ -165,36 +195,34 @@ def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -
     terms = j[:-1] * j[1:] * (gamma[2:] * sub[1:-1] - gamma[1:-1] * sub[:-2] - diag[1:-1] ** 2)
     sup = np.append(0.0, np.cumsum(terms) / (j[:-1] * (j[:-1] + 2) * alpha[1:-1]))
     if lower is None:
-        return [sub[:-1], diag, sup], None
+        return _Band([sub[:-1], diag, sup], -1)
     nu = eval_basis_derivs(basis, s, lower)[0].astype(np.float64)
-    return [sub[:-1], diag, sup], -((np.append(0.0, nu[:-2]) * np.append(0.0, sup) + nu[:-1] * diag) + nu[1:] * sub)
+    row0 = -((np.append(0.0, nu[:-2]) * np.append(0.0, sup) + nu[:-1] * diag) + nu[1:] * sub)
+    return _Band([sub[:-1], diag, sup], -1, row0[None])
 
 
-def _integral_section(basis: RecurrenceBasis, s: int, lower: float | None = None) -> np.ndarray:
+def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> _Band:
     """The integral matrix, with row 0 the Volterra row given a lower limit.
     A custom basis takes the back substitution on the derivative section at
-    size s+1, so the entries the last column reads exist."""
+    size s+1, so the entries the last column reads exist, and every row of
+    its band is dense."""
     if basis.family != "custom":
-        diagonals, row0 = _integral_band(basis, s, lower)
-        mat, j = np.zeros((s, s)), np.arange(s)
-        mat[j[1:], j[:-1]], mat[j, j], mat[j[:-1], j[1:]] = diagonals
-    else:
-        alpha, beta, gamma = recurrence_arrays(basis, s + 2)
-        eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1]
-        theta = solve_upper_triangular(eta[:s, 1:], np.eye(s))  # rows 1..s
-        mat = np.zeros((s, s))
-        mat[1:] = theta[:-1]
-        row0 = None if lower is None else -(eval_basis_derivs(basis, s, lower)[0, 1:].astype(np.float64) @ theta)
-    if row0 is not None:
-        mat[0] = row0
-    return mat
+        return _integral_band(basis, s, lower)
+    alpha, beta, gamma = recurrence_arrays(basis, s + 2)
+    eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1].lead
+    theta = solve_upper_triangular(eta[:s, 1:], np.eye(s))  # rows 1..s
+    mat = np.zeros((s, s))
+    mat[1:] = theta[:-1]
+    if lower is not None:
+        mat[0] = -(eval_basis_derivs(basis, s, lower)[0, 1:].astype(np.float64) @ theta)
+    return _Band([], -1, mat)
 
 
 def integral_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Matrix of antidifferentiation, with the free constant fixed by a zero
     nu_0-component: row 0 is identically zero."""
     _check_size(s, 2)
-    return _integral_section(basis, s)
+    return _volterra_band(basis, s).block(0, s, 0, s)
 
 
 def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
@@ -203,7 +231,7 @@ def volterra_matrix(basis: RecurrenceBasis, s: int, a: float) -> np.ndarray:
     _check_size(s, 2)
     if not np.isfinite(a):
         raise ValueError(f"volterra lower limit must be finite, got {a}")
-    return _integral_section(basis, s, a)
+    return _volterra_band(basis, s, a).block(0, s, 0, s)
 
 
 def similarity_pi(v: np.ndarray, pi_power: np.ndarray) -> np.ndarray:

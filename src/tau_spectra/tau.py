@@ -15,9 +15,9 @@ is how far the operator can raise coefficient indices, so the section holds
 every row the degree-n image can touch.  One recurrence pass builds every
 power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
-Banded term matrices are held in one form, _Band: diagonals at offsets
--1, 0, 1, ..., under optional dense leading rows.  On the Laguerre basis xD
-is upper bidiagonal, so a term whose p is divisible by x^k, p = x^k q,
+Every term matrix but the identity is an opmatrix._Band: diagonals under
+optional dense leading rows, every row dense for H^k.  On the Laguerre basis
+xD is upper bidiagonal, so a term whose p is divisible by x^k, p = x^k q,
 enters the chain as q(M) * (x^k D^k), a band of width k kept as its k + 1
 diagonals, built from the two of xD; the Bessel section is pentadiagonal and
 needs no H^k at all.  Every other derivative term keeps H^k.  On a Jacobi
@@ -25,12 +25,10 @@ or Laguerre basis the Volterra matrix is theta's three diagonals under its
 dense row 0, so p(M) V is banded below its first deg p + 1 rows.
 
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
-has lower bandwidth m_c + h.  Assembly runs the Horner chain only on the rows
-a column block can reach: at most h below the block, and, when every term's
-matrix is banded, at most the widest upper band plus the chain's degree
-above it, and the dense leading rows.  The chain writes into a Section,
-blocks of 64 rows each held over the columns its rows can reach, so Pi is
-never one array.
+has lower bandwidth m_c + h.  Assembly writes Pi into a Section, blocks of
+64 rows each held over the columns its rows can reach, and runs the Horner
+chain once per block, on its rows and a halo of as many rows on either side
+as the chain has products with M, so Pi is never one array.
 
 Nor is the square Tau matrix built.  It is read from the condition rows and
 the section's blocks above row n+1-m_c, each cut to the columns from its
@@ -50,9 +48,7 @@ import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
 from .linalg import cond_estimate_factored, qr_factor, qr_solve
-from .opmatrix import (
-    MAX_SECTION_SIZE, _derivative_table, _integral_band, _shift_apply, _xd_powers, volterra_matrix
-)
+from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, _volterra_band, _xd_powers
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -75,7 +71,7 @@ __all__ = [
     "solve_tau_system",
 ]
 
-_BLOCK = 64  # columns per Horner chain of Pi, rows per section and Tau matrix block
+_BLOCK = 64  # rows per Horner chain of Pi, per section and per Tau matrix block
 
 
 class NonFiniteSolutionError(ArithmeticError):
@@ -265,69 +261,38 @@ def operator_height(terms) -> int:
     return max([0, *(t.degree - t.order for t in terms)])
 
 
-@dataclass(frozen=True)
-class _Band:
-    """A term matrix as its diagonals at offsets low, low + 1, ..., each in
-    np.diagonal's order, with its first rows dense: lead[i] is row i, in
-    place of the diagonals' entries there."""
-
-    diags: list
-    low: int = 0
-    lead: np.ndarray | None = None
-
-    def block(self, r0: int, r: int, c0: int, c1: int) -> np.ndarray:
-        """Rows r0..r-1, columns c0..c1-1, as an array."""
-        blk = np.zeros((r - r0, c1 - c0))
-        for o, d in enumerate(self.diags, self.low):
-            i = np.arange(max(r0, c0 - o, -o), min(r, c1 - o, d.shape[0] - min(o, 0)))
-            blk[i - r0, i + o - c0] = d[i + min(o, 0)]
-        if self.lead is not None and r0 < self.lead.shape[0]:
-            blk[: self.lead.shape[0] - r0] = self.lead[r0:r, c0:c1]
-        return blk
-
-
-def _poly_in_shift(recurrence, terms, shape: tuple[int, int], height: int) -> Section:
-    """Sum of p(M) @ A over the (p, A) terms (A = None for the identity, an
-    array, or a _Band), with M the shift of the recurrence arrays (alpha,
+def _poly_in_shift(recurrence, terms, shape: tuple[int, int]) -> Section:
+    """Sum of p(M) @ A over the (p, A) terms (A None for the identity, else
+    an opmatrix._Band), with M the shift of the recurrence arrays (alpha,
     beta, gamma), by one Horner chain: from the top degree down,
     t <- M t + sum of p_k A.
 
-    height bounds how far any term raises indices (deg p plus the lower
-    bandwidth of A), so column j of every partial sum vanishes below row
-    j + height.  upper bounds the upper bandwidth of every A (the whole
-    section for an array), so column j vanishes above row j - upper - top,
-    top the degree of the chain, except in the rows [0, lead) that a band's
-    dense rows reach after deg p products with M.  The chain runs on blocks
-    of _BLOCK columns, each cut to the rows between those bounds and to the
-    lead rows, and writes them into row blocks of _BLOCK rows, each held
-    over the columns its rows can reach; the entries outside are exact
-    zeros of the full chain.  shape has at least as many rows as columns,
-    and each A at least shape entries.  A band enters a block as its entries
-    that fall in it, zeros elsewhere: the full array's sum, bit for bit.
+    Column j of every partial sum vanishes below row j + height, height =
+    max(deg p - low) with low the lowest offset of A (0 for the identity),
+    and above row j - upper - top, upper the widest upper band below the
+    dense rows and top the chain's degree, except in the rows [0, lead) that
+    a band's dense rows reach after deg p products with M.  Each block of
+    _BLOCK rows is held over the columns between those bounds, copied out of
+    its own chain, run on those columns and on its rows widened by top rows
+    on either side, the rows outside taken as zero.  M is tridiagonal, so
+    top products move no entry further than top rows: the block equals the
+    full chain's bit for bit.  The copy lets the halo go, which a high-degree
+    p makes many times the block.  shape has at least as many rows as
+    columns, and each A at least shape entries.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
-    upper = max(a.low + len(a.diags) - 1 if isinstance(a, _Band) else 0 if a is None else rows for _, a in terms)
-    bands = [(p, a.lead) for p, a in terms if isinstance(a, _Band) and a.lead is not None]
-    lead = max([dense.shape[0] + p.shape[0] - 1 for p, dense in bands], default=0)
+    height = max(0, *(p.shape[0] - 1 - (0 if a is None else a.low) for p, a in terms))
+    upper = max(0 if a is None else a.low + len(a.diags) - 1 for _, a in terms)
+    lead = max([a.lead.shape[0] + p.shape[0] - 1 for p, a in terms if a is not None and a.lead is not None], default=0)
     out = []
     for i0 in range(0, rows, _BLOCK):
         i1 = min(i0 + _BLOCK, rows)
         j1 = cols if i0 < lead else min(cols, i1 + upper + top)
         j0 = min(max(0, i0 - height), j1)
-        out.append((slice(i0, i1), np.zeros((i1 - i0, j1 - j0)), slice(j0, j1)))
-    for c0 in range(0, cols, _BLOCK):
-        c1 = min(c0 + _BLOCK, cols)
-        r0, r = max(0, c0 - upper - top), min(rows, c1 + height)
-        # the lead rows and the band rows, in one span where they touch
-        for r0, r in [(0, r)] if r0 <= lead else [(0, lead), (r0, r)] if lead else [(r0, r)]:
-            t = _chain(recurrence, terms, top, r0, r, c0, c1)
-            for rs, vals, cs in out[r0 // _BLOCK : -(-r // _BLOCK)]:
-                i0, i1 = max(r0, rs.start), min(r, rs.stop)
-                j0, j1 = max(c0, cs.start), min(c1, cs.stop)
-                if j0 < j1:
-                    dst = vals[i0 - rs.start : i1 - rs.start, j0 - cs.start : j1 - cs.start]
-                    dst[...] = t[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
+        r0 = max(0, i0 - top)
+        t = _chain(recurrence, terms, top, r0, min(rows, i1 + top), j0, j1)
+        out.append((slice(i0, i1), t[i0 - r0 : i1 - r0].copy(), slice(j0, j1)))
     return Section(shape, out)
 
 
@@ -337,9 +302,7 @@ def _chain(recurrence, terms, top: int, r0: int, r: int, c0: int, c1: int) -> np
     shift = [a[r0:] for a in recurrence]
     i = np.arange(max(r0, c0), min(r, c1))
     diag = (i - r0, i - c0)
-    blocks = [
-        a.block(r0, r, c0, c1) if isinstance(a, _Band) else a if a is None else a[r0:r, c0:c1] for _, a in terms
-    ]
+    blocks = [None if a is None else a.block(r0, r, c0, c1) for _, a in terms]
     t = np.zeros((r - r0, c1 - c0))
     for k in range(top, -1, -1):
         if k < top:
@@ -360,14 +323,6 @@ def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
     return k if divisible and basis.family == "laguerre" else 0
 
 
-def _volterra_band(basis: RecurrenceBasis, s: int, lower: float):
-    """The Volterra matrix: theta's diagonals under row 0, or a custom array."""
-    if basis.family == "custom":
-        return volterra_matrix(basis, s, lower)
-    diagonals, row0 = _integral_band(basis, s, lower)
-    return _Band(diagonals, -1, row0[None])
-
-
 def assemble_pi(problem: TauProblem) -> Section:
     """Operator section Pi of shape (n+1+h, n+1): Pi @ a holds the
     nu-coefficients of L[u_n]."""
@@ -381,12 +336,12 @@ def assemble_pi(problem: TauProblem) -> Section:
     factors = _xd_powers(s, banded) if banded else {}
     powers = _derivative_table(*recurrence, s, dense) if dense else {}  # I = D^0: None
     terms = [
-        (t.coeff[k:], _Band(factors[k]))
+        (t.coeff[k:], factors[k])
         if k
         else (t.coeff, _volterra_band(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
         for t, k in zip(problem.operator, xd)
     ]
-    return _poly_in_shift(recurrence, terms, (s, n + 1), h)
+    return _poly_in_shift(recurrence, terms, (s, n + 1))
 
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
@@ -397,7 +352,9 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    return _poly_in_shift(recurrence_arrays(basis, length), [(c, None)], (length, 1), d).to_dense()[:, 0]
+    nu = np.zeros(length)
+    nu[: d + 1] = _chain(recurrence_arrays(basis, length), [(c, None)], d, 0, d + 1, 0, 1)[:, 0]
+    return nu
 
 
 def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:

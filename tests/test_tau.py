@@ -483,7 +483,7 @@ def _dense_pi(problem):
         if term.order < 0:
             a_mat = volterra_matrix(problem.basis, s, term.lower)
         elif term.order > 0:
-            a_mat = _derivative_table(*recurrence, s, (term.order,))[term.order]
+            a_mat = _derivative_table(*recurrence, s, (term.order,))[term.order].lead
         else:
             a_mat = None
         terms.append((term.coeff, a_mat))
@@ -505,8 +505,9 @@ BANDED_PROBLEMS = {
     "bessel-laguerre-300": bessel_problem(10, 300),
     "airy-legendre-200": airy_problem(LEG, 200, 1e-3),
     "volterra-jacobi(1,-0.9)-120": _volterra_problem(jacobi(1.0, -0.9), 120),
-    # Column block 0 runs the Volterra section's dense rows and its band in
-    # one chain, every later block in two; n = 63 has one column block.
+    # The row blocks a Volterra row 0 reaches after deg p products with M are
+    # held over every column, the later ones over the band; at n = 63 the
+    # section's last two rows fall in a second row block.
     "volterra-quadratic-p-jacobi(1,-0.9)-130": TauProblem(
         basis=jacobi(1.0, -0.9),
         operator=[identity_term([1.0, 0.5]), volterra_term([0.5, -1.2, 0.3], lower=-1.0)],
@@ -545,6 +546,32 @@ BANDED_PROBLEMS = {
         conditions=[],
         rhs=[0.0],
         degree=300,
+    ),
+    # Each row block's chain runs on a halo of deg p rows on either side.
+    # Here rows 1..63, which Volterra row 0 reaches, are the halo of the
+    # second row block;
+    "volterra-degree-63-jacobi(1,-0.9)-130": TauProblem(
+        basis=jacobi(1.0, -0.9),
+        operator=[identity_term([1.0]), volterra_term([(-1.0) ** k / (k + 1) for k in range(64)], lower=-1.0)],
+        conditions=[],
+        rhs=[0.0],
+        degree=130,
+    ),
+    # here the halo, 70 rows, is wider than a block;
+    "identity-degree-70-legendre-200": TauProblem(
+        basis=LEG,
+        operator=[identity_term([1.0 / (k + 1) for k in range(71)])],
+        conditions=[],
+        rhs=[0.0],
+        degree=200,
+    ),
+    # and here x^2 D^2 is a band of three diagonals under a degree-4 quotient.
+    "x2d2-quartic-q-laguerre-129": TauProblem(
+        basis=laguerre(),
+        operator=[derivative_term([0.0, 0.0, 1.0, -2.0, 0.5, 3.0, -1.0], 2), identity_term([1.0])],
+        conditions=[],
+        rhs=[0.0],
+        degree=129,
     ),
     "monomial-mixed-150": TauProblem(
         basis=monomial(),

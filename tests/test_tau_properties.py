@@ -48,7 +48,7 @@ def _dense_route(problem):
     orders = {t.order for t in problem.operator if t.order > 0}
     powers = _derivative_table(*recurrence, s, orders) if orders else {}
     terms = [(t.coeff, powers.get(t.order)) for t in problem.operator]
-    return tau._poly_in_shift(recurrence, terms, (s, n + 1), s - n - 1).to_dense()
+    return tau._poly_in_shift(recurrence, terms, (s, n + 1)).to_dense()
 
 
 def _exact_section(problem):
@@ -60,7 +60,7 @@ def _exact_section(problem):
     total = np.zeros((s, s), dtype=np.longdouble)
     for term in problem.operator:
         k = term.order
-        power = _derivative_table(*recurrence, s, (k,))[k] if k else np.eye(s)
+        power = _derivative_table(*recurrence, s, (k,))[k].lead if k else np.eye(s)
         for c in term.coeff:
             total += np.longdouble(c) * power.astype(np.longdouble)
             power = _shift_apply(*recurrence, power)
