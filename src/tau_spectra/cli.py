@@ -517,9 +517,9 @@ OPMATRIX_KINDS = {
 
 def cmd_opmatrix(args: argparse.Namespace) -> None:
     basis = _parse_basis_spec(args.basis)
-    if args.kind == "volterra" and args.lower is None:
-        raise ConfigError("volterra matrix requires --lower")
-    extra = (args.lower,) if args.kind == "volterra" else ()
+    if (args.lower is None) == (args.kind == "volterra"):
+        raise ConfigError(f"{args.kind} matrix {'requires' if args.lower is None else 'does not take'} --lower")
+    extra = () if args.lower is None else (args.lower,)
     mat = OPMATRIX_KINDS[args.kind](basis, args.size, *extra)
     rows, cols = np.nonzero(mat)
     _write_csv(args.output, ["row", "col", "value"], [rows, cols, mat[rows, cols]])

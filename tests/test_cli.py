@@ -299,6 +299,73 @@ def test_solve_with_reference_column(tmp_path):
     assert 1e-8 <= sup <= 1e-5
 
 
+def _airy_config(basis, degree, epsilon):
+    return {
+        "basis": basis,
+        "degree": degree,
+        "operator": [
+            {"action": "derivative", "coeff": [epsilon], "order": 2},
+            {"action": "identity", "coeff": [0.0, -1.0]},
+        ],
+        "conditions": [
+            {"terms": [{"coeff": 1.0, "deriv": 0, "point": -1.0}], "value": 1.0},
+            {"terms": [{"coeff": 1.0, "deriv": 0, "point": 1.0}], "value": 1.0},
+        ],
+        "rhs": {"coeff": [0.0]},
+        "grid": {"start": -1.0, "stop": 1.0, "count": 2001},
+        "reference": {"kind": "airy_bvp", "params": {"epsilon": epsilon}},
+    }
+
+
+# Each config's sup error against its reference, absolute or relative to
+# max|reference|.
+SOLVE_CONFIGS = {
+    # The README's config; it reads about 1.1e-13.
+    "readme-airy": (_airy_config({"family": "jacobi", "alpha": 0.0, "beta": 0.0}, 80, 1e-2), 1e-10, False),
+    # The solve-mix Laguerre-Bessel config m = 3 on [0, 20], whose Pi the
+    # Laguerre xD route builds; it reads about 2.7e-15.
+    "laguerre-bessel-m3": (
+        {
+            "basis": {"family": "laguerre"},
+            "degree": 200,
+            "operator": [
+                {"action": "derivative", "coeff": [0.0, 0.0, 1.0], "order": 2},
+                {"action": "derivative", "coeff": [0.0, 1.0], "order": 1},
+                {"action": "identity", "coeff": [-9.0, 0.0, 1.0]},
+            ],
+            "conditions": [
+                {"terms": [{"coeff": 1.0, "deriv": 0, "point": 0.0}], "value": 0.0},
+                {"terms": [{"coeff": 1.0, "deriv": 0, "point": 20.0}], "value": 1.0},
+            ],
+            "rhs": {"coeff": [0.0]},
+            "grid": {"start": 0.0, "stop": 20.0, "count": 2001},
+            "reference": {"kind": "bessel", "params": {"m": 3, "scale_point": 20.0}},
+        },
+        1e-10,
+        False,
+    ),
+    # jacobi(-0.9, -0.9) has no closed-form bound on |nu_k| (max(alpha, beta)
+    # < -1/2), so its Clenshaw sum runs wholly in long double; it reads about
+    # 2.2e-13. eps = 5e-3, because at 1e-3 the series reference itself is off
+    # by 1.8e-6.
+    "airy-jacobi-fallback": (
+        _airy_config({"family": "jacobi", "alpha": -0.9, "beta": -0.9}, 160, 5e-3),
+        1e-9,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg, bound, relative", SOLVE_CONFIGS.values(), ids=SOLVE_CONFIGS.keys())
+def test_solve_config_against_its_reference(tmp_path, cfg, bound, relative):
+    out_path = str(tmp_path / "out.csv")
+    assert main(["solve", _write_config(tmp_path, cfg), "-o", out_path]) == 0
+    header, body = _read_csv(out_path)
+    assert header == ["x", "y_n", "reference", "error"]
+    scale = max(abs(float(row[2])) for row in body) if relative else 1.0
+    assert max(float(row[3]) for row in body) <= bound * scale
+
+
 def test_csv_values_are_the_solution_evaluated(tmp_path):
     # Laguerre series at large x lose ~1e-7 absolute when summed in float64,
     # so the CSV matches only if solution(x) is the extended-precision sum.
@@ -353,34 +420,121 @@ def test_bessel_reference_on_a_grid_through_1e_minus_60(tmp_path):
     assert all(np.isfinite(float(row[2])) for row in body)
 
 
+def _run_python(code):
+    """Run code in a fresh interpreter that imports tau_spectra from this tree."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_solve_runs_without_scipy(tmp_path):
     # scipy may be installed but is not a dependency: no module may import it.
-    # jsonschema is a test dependency only: the CLI checks configs itself.
+    # jsonschema is a test dependency only: the CLI checks configs itself, and
+    # a schema violation still reads in jsonschema's words with exit 2.
     cfg_path = _write_config(tmp_path, BASE_CONFIG)
+    foo_path = _write_config(tmp_path, {**BASE_CONFIG, "foo": 1}, "foo.json")
     out_path = tmp_path / "out.csv"
     code = (
         "import sys; sys.modules['scipy'] = None; "
         "import tau_spectra.cli; "
         "assert 'jsonschema' not in sys.modules, 'tau_spectra.cli imported jsonschema'; "
         "sys.modules['jsonschema'] = None; "
-        f"sys.exit(tau_spectra.cli.main(['solve', {cfg_path!r}, '-o', {str(out_path)!r}]))"
+        f"assert tau_spectra.cli.main(['solve', {cfg_path!r}, '-o', {str(out_path)!r}]) == 0; "
+        f"sys.exit(tau_spectra.cli.main(['solve', {foo_path!r}, '-o', {str(tmp_path / 'foo.csv')!r}]))"
     )
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_python(code)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "tau-spectra: config error: Additional properties are not allowed ('foo' was unexpected)\n"
     assert out_path.exists()
 
 
-def test_opmatrix_triplets(tmp_path):
-    out_path = str(tmp_path / "eta.csv")
-    assert main(
-        ["opmatrix", "--basis", "jacobi:0,0", "--kind", "derivative", "--size", "4", "-o", out_path]
-    ) == 0
+def test_bessel_ladder_to_4000_within_100_mb(tmp_path):
+    # The ladder runs in a fresh process so that its peak resident memory is
+    # its own: the section is held as 64-row blocks and the Tau matrix is
+    # never built, so the ladder to n = 4000 reads about 45 MB (170 MB with a
+    # dense section). tracemalloc cannot see resident huge pages; the kernel's
+    # count can. The child reads VmHWM, the peak of its own address space:
+    # its ru_maxrss would carry the test runner's peak across exec.
+    fig = tmp_path / "fig"
+    code = (
+        "import sys; from tau_spectra.cli import main; "
+        f"rc = main(['bessel', '-m', '10', '--degrees', '100', '200', '2000', '4000', '-o', {str(fig)!r}]); "
+        "print(*[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]); "
+        "sys.exit(rc)"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) <= 100 * 1024  # kB
+    assert not any(b"FAIL" in path.read_bytes() for path in fig.iterdir())
+    # A converged refinement reads about 9.4e-11 at n = 200; one that takes no
+    # step 8.6e-6.
+    # n = 2000, the benchmark's top degree, reads about 5.9e-11 and n = 4000,
+    # near the largest degree the 4096-row section bound allows, about
+    # 1.4e-10: both run the almost-banded QR and the banded xD assembly.
+    for n in (200, 2000, 4000):
+        _, body = _read_csv(str(fig / f"bessel_m10_n{n}.csv"))
+        assert max(float(row[3]) for row in body) <= 1e-8, n
+
+
+# Each matrix against its closed form, entry for entry, within the bound.
+OPMATRIX_CLOSED_FORMS = {
+    "legendre-derivative-4": (
+        ["--basis", "jacobi:0,0", "--kind", "derivative", "--size", "4"],
+        {(0, 1): 1.0, (0, 3): 1.0, (1, 2): 3.0, (2, 3): 5.0},
+        0.0,
+    ),
+    # Custom bases take the back substitution, not the structure relation:
+    # the monomial integral matrix maps x^j to x^(j+1)/(j+1).
+    "monomial-integral-8": (
+        ["--basis", "monomial", "--kind", "integral", "--size", "8"],
+        {(j + 1, j): 1 / (j + 1) for j in range(7)},
+        0.0,
+    ),
+    # From 0.5 it is that integral matrix with row 0 -0.5^(j+1)/(j+1): the
+    # custom basis's band, every row of it dense, end to end.
+    "monomial-volterra-8": (
+        ["--basis", "monomial", "--kind", "volterra", "--lower", "0.5", "--size", "8"],
+        {
+            **{(0, j): -(0.5 ** (j + 1)) / (j + 1) for j in range(8)},
+            **{(j + 1, j): 1 / (j + 1) for j in range(7)},
+        },
+        0.0,
+    ),
+    # Classical bases take theta's three diagonals in closed form. The
+    # Laguerre recurrence coefficients are integers, so its theta is exact:
+    # int L_j = L_j - L_{j+1}.
+    "laguerre-integral-40": (
+        ["--basis", "laguerre", "--kind", "integral", "--size", "40"],
+        {**{(j, j - 1): -1.0 for j in range(1, 40)}, **{(j, j): 1.0 for j in range(1, 40)}},
+        0.0,
+    ),
+    # From -1 the Legendre one is (P_{j+1} - P_{j-1}) / (2j + 1), and P_0 + P_1
+    # in column 0. Row 0's mathematically zero entries read up to about 5.6e-17.
+    "legendre-volterra-12": (
+        ["--basis", "jacobi:0,0", "--kind", "volterra", "--lower", "-1", "--size", "12"],
+        {
+            (0, 0): 1.0,
+            (1, 0): 1.0,
+            **{(j - 1, j): -1 / (2 * j + 1) for j in range(1, 12)},
+            **{(j + 1, j): 1 / (2 * j + 1) for j in range(1, 11)},
+        },
+        1e-15,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected, bound", OPMATRIX_CLOSED_FORMS.values(), ids=OPMATRIX_CLOSED_FORMS.keys()
+)
+def test_opmatrix_triplets(tmp_path, argv, expected, bound):
+    out_path = str(tmp_path / "matrix.csv")
+    assert main(["opmatrix", *argv, "-o", out_path]) == 0
     header, body = _read_csv(out_path)
     assert header == ["row", "col", "value"]
     triplets = {(int(r), int(c)): float(v) for r, c, v in body}
-    assert triplets == {(0, 1): 1.0, (0, 3): 1.0, (1, 2): 3.0, (2, 3): 5.0}
+    assert list(triplets) == sorted(triplets)
+    worst = max(abs(triplets.get(k, 0.0) - expected.get(k, 0.0)) for k in triplets.keys() | expected.keys())
+    assert worst <= bound
 
 
 def test_opmatrix_power_kind(tmp_path):
@@ -407,12 +561,17 @@ def test_opmatrix_bad_basis_spec(tmp_path):
     ) == 2
 
 
-def test_condition_demo_small_degree(capsys):
+def test_condition_demo_small_degree(tmp_path, capsys):
     assert main(["condition-demo", "-n", "20"]) == 0
     out = capsys.readouterr().out
     assert "recurrence path sup error:" in out
     assert "similarity path sup error:" in out
     assert "cond_1 of change-of-basis matrix:" in out
+    # -o writes what it prints, byte for byte, and prints nothing.
+    out_path = tmp_path / "demo.txt"
+    assert main(["condition-demo", "-n", "20", "-o", str(out_path)]) == 0
+    assert out_path.read_bytes() == out.encode()
+    assert capsys.readouterr().out == ""
 
 
 def test_condition_demo_rejects_tiny_n(capsys):
@@ -458,6 +617,10 @@ def test_table2_layout_and_bands(tmp_path):
     legendre = body[0]
     assert float(legendre[2]) > 1.0
     assert 1e-8 <= float(legendre[3]) <= 1e-5
+    assert all(cell != "FAIL" for row in body for cell in row)
+    # The n = 1000 cells read up to 4.0e-7: the bound is
+    # test_volterra_table2_at_degree_1000's relative 1e-11 times sup|y| = 1.9e5.
+    assert all(float(row[5]) <= 2e-6 for row in body)
 
 
 def test_table1_against_exact_solution(tmp_path):
@@ -537,6 +700,11 @@ BAD_INPUTS = {
     "volterra-lower-overflow": (*_solve(**VOLTERRA_LOWER_OVERFLOW), 3),
     "opmatrix-lower-nan": (
         ["opmatrix", "--kind", "volterra", "--lower=nan", "--size", "8", "-o", "{out}"],
+        None,
+        2,
+    ),
+    "opmatrix-integral-with-lower": (
+        ["opmatrix", "--kind", "integral", "--lower", "0.5", "--size", "8", "-o", "{out}"],
         None,
         2,
     ),

@@ -803,16 +803,17 @@ CUSTOM_LEG = custom(lambda j: ((j + 1) / (2 * j + 1), 0.0, j / (2 * j + 1)))
 
 # Forward errors measured when these bounds were set: 1.2e-13, 5.5e-17,
 # 8.8e-20 and 1.6e-19; with the refinement taking no step, 5.8e-9, 5.0e-12,
-# 4.8e-16 and 1.05e-15.
+# 4.8e-16 and 1.05e-15. bessel-120, added later, read 1.29e-13.
 @pytest.mark.parametrize(
     "problem, bound",
     [
         (bessel_problem(10, 60), 1e-11),
+        (bessel_problem(10, 120), 1e-11),
         (_volterra_problem(jacobi(1.0, -0.9), 100), 1e-14),
         (airy_problem(LEG, 80, 1e-2), 1e-17),
         (airy_problem(CUSTOM_LEG, 60, 1e-2), 1e-17),
     ],
-    ids=["bessel-60", "volterra-100", "airy-80", "custom-airy-60"],
+    ids=["bessel-60", "bessel-120", "volterra-100", "airy-80", "custom-airy-60"],
 )
 def test_refined_solution_solves_its_discrete_system(problem, bound, monkeypatch):
     assert _discrete_forward_error(problem, monkeypatch) <= bound
