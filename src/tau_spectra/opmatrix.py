@@ -36,8 +36,11 @@ substitution similarity_pi uses (linalg.solve_upper_triangular), in O(s^3),
 and their Volterra row 0 is that product.
 
 The builders of the term matrices tau assembles from return one form, _Band:
-diagonals under optional dense rows, every row dense for H^k and a custom
-theta.  integral_matrix and volterra_matrix return theta's band as an array.
+a row-indexed array of diagonals under optional dense rows, every row dense
+for H^k and a custom theta.  The same type carries tau's Horner chain: its
+product with the shift adds a diagonal on either side, and its sum with
+another band spans both, each entry summed as over the full arrays.
+integral_matrix and volterra_matrix return theta's band as an array.
 
 Truncation never corrupts stored entries: every returned entry equals the
 corresponding entry of the infinite matrix (the custom back substitution
@@ -76,28 +79,68 @@ def _check_size(s: int, smallest: int = 1) -> None:
 
 @dataclass(frozen=True)
 class _Band:
-    """A square matrix as its diagonals at offsets low, low + 1, ..., each
-    whole and in np.diagonal's order, with its first rows dense: lead[i] is
-    row i, in place of the diagonals' entries there.  A dense matrix has no
-    diagonals and every row in lead; low is then the lowest offset it can
-    be nonzero at (k for H^k, -1 for theta)."""
+    """A square matrix A of size s as its diagonals under its dense leading
+    rows.  diags[q, i] = A[i, i + low + q], row i's entries from column
+    i + low on, zero where that column falls outside the matrix; lead[i] is
+    row i, in place of its diagonals' entries.  Every row i is nonzero only
+    from column i + low on.  A matrix dense in every row (H^k, a custom
+    theta) has no diagonals, every row in lead, and low the lowest offset it
+    can be nonzero at (k for H^k, -1 for theta)."""
 
-    diags: list
-    low: int = 0
-    lead: np.ndarray | None = None
+    diags: np.ndarray
+    low: int
+    lead: np.ndarray
 
-    def block(self, r0: int, r: int, c0: int, c1: int) -> np.ndarray:
-        """Rows r0..r-1, columns c0..c1-1, as an array: a view of lead when
-        its rows cover them."""
-        if self.lead is not None and r <= self.lead.shape[0]:
-            return self.lead[r0:r, c0:c1]
-        blk = np.zeros((r - r0, c1 - c0))
-        for o, d in enumerate(self.diags, self.low):
-            i = np.arange(max(r0, c0 - o), min(r, c1 - o))
-            blk[i - r0, i + o - c0] = d[i + min(o, 0)]
-        if self.lead is not None and r0 < self.lead.shape[0]:
-            blk[: self.lead.shape[0] - r0] = self.lead[r0:, c0:c1]
-        return blk
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Rows r0..r1-1, columns c0..c1-1, as an array: a view of lead when
+        its rows cover them.  Row i's diagonals are written through a view
+        whose row stride is one float64 entry longer than the block's, which
+        shears them into columns i + low on."""
+        if r1 <= max(r0, len(self.lead)):
+            return self.lead[r0:r1, c0:c1]
+        rows, w, start = r1 - r0, len(self.diags), min(r0 + self.low, c0)
+        width = max(r0 + self.low + rows + w - 1, c1) - start
+        blk = np.zeros((rows, width))
+        sheared = np.ndarray((rows, w), float, blk, 8 * (r0 + self.low - start), (8 * width + 8, 8))
+        sheared[...] = self.diags[:, r0:r1].T
+        blk[: max(len(self.lead) - r0, 0), c0 - start : c1 - start] = self.lead[r0:, c0:c1]
+        return blk[:, c0 - start : c1 - start]
+
+    def shifted(self, alpha, beta, gamma) -> _Band:
+        """M @ A, M the tridiagonal shift of the recurrence arrays, every
+        entry summed in _shift_apply's order: one more diagonal on either
+        side, and one more dense row under any dense rows."""
+        s, n = self.diags.shape[1], len(self.lead)
+        pad = np.vstack([np.zeros((2, s)), self.diags, np.zeros((2, s))])
+        # A[i, c], A[i-1, c] and A[i+1, c] are diagonals q-1, q and q-2 of
+        # rows i, i-1 and i+1, for c on diagonal q of the product's row i.
+        diags = beta[:s] * pad[1:-1]
+        diags[:, 1:] += alpha[: s - 1] * pad[2:, :-1]
+        diags[:, :-1] += gamma[1:s] * pad[:-2, 1:]
+        lead = _shift_apply(alpha, beta, gamma, self.block(0, min(n + 2, s), 0, s))[: n + 1] if n else self.lead
+        return _Band(diags, self.low - 1, lead)
+
+    def plus(self, c: float, other: _Band) -> _Band:
+        """A + c B, each entry B stores summed as a + c b.  Writes into A's
+        arrays when they already span B's diagonals and dense rows, so A must
+        be the caller's own, such as a Horner chain's running sum."""
+        s, low = self.diags.shape[1], min(self.low, other.low)
+        high = max([b.low + len(b.diags) for b in (self, other) if len(b.diags)], default=low)
+        n_lead, a = max(len(self.lead), len(other.lead)), self
+        if (low, high, n_lead) != (self.low, self.low + len(self.diags), len(self.lead)):
+            a = _Band(np.zeros((high - low, s)), low, self.block(0, n_lead, 0, s))
+            a.diags[self.low - low : self.low - low + len(self.diags)] = self.diags
+        a.diags[other.low - low : other.low - low + len(other.diags)] += c * other.diags
+        # B's dense rows in strips of 64, each from the first column B can be
+        # nonzero at in it: half the work on a dense triangle, in cache
+        for r in range(0, len(other.lead), 64):
+            j, r1 = max(0, r + other.low), min(r + 64, len(other.lead))
+            a.lead[r:r1, j:] += c * other.lead[r:r1, j:]
+        if len(other.lead) < n_lead:  # B's diagonals in A's dense rows
+            for o, d in enumerate(other.diags, other.low):
+                i = np.arange(max(len(other.lead), -o), min(n_lead, s - o))
+                a.lead[i, i + o] += c * d[i]
+        return a
 
 
 def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
@@ -136,7 +179,7 @@ def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, _Band]:
         np.divide(col, alpha[j], out=t[: j + 1])
         for d in orders:
             powers[d][: j + 1, j + 1] = t[: j + 1, d - 1]
-    return {d: _Band([], d, h) for d, h in powers.items()}
+    return {d: _Band(np.zeros((0, s)), d, h) for d, h in powers.items()}
 
 
 def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
@@ -146,30 +189,22 @@ def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1].lead
 
 
-def _xd_powers(s: int, orders) -> dict[int, _Band]:
-    """{k: x^k D^k} on an s-section for each k in orders, Laguerre basis
-    only, as a band: its diagonal o holds A[i, i+o], o = 0..k.
+def _xd_powers(s: int, top: int) -> list[_Band]:
+    """[x^k D^k for k = 0..top] on an s-section, each a band of its
+    diagonals at offsets 0..k: the identity on any basis, and for k >= 1 on
+    the Laguerre basis only.
 
     There S = xD is upper bidiagonal in closed form, x L_j' = j L_j - j
-    L_{j-1}: S[i, i] = i and S[i, i+1] = -(i+1).  Each factor of
-    x^k D^k = (S - (k-1) I) x^(k-1) D^(k-1) combines two neighbouring rows,
-    so x^k D^k has upper bandwidth k and costs O(s k), with no matrix
-    product, and stays as its diagonals.  The entries are integers: any
-    order of operations is exact.
+    L_{j-1}: S[i, i] = i and S[i, i+1] = -(i+1).  So x^k D^k =
+    (S - (k-1) I) x^(k-1) D^(k-1) is the shifted step by the tridiagonal
+    S - (k-1) I (alpha 0, beta_i = i - (k-1), gamma_i = -i), whose new
+    subdiagonal is zero: O(s k), with no matrix product.  The entries are
+    integers: any order of operations is exact.
     """
-    s0, s1 = np.arange(float(s)), -np.arange(1.0, s)
-    band = [s0, s1]
-    powers = {}
-    for k in range(1, max(orders) + 1):
-        if k > 1:
-            prev = band
-            band = [(s0[: s - o] - (k - 1)) * d for o, d in enumerate(prev)]
-            band += [np.zeros(s - k)] if k < s else []
-            for o in range(1, len(band)):
-                band[o] += s1[: s - o] * prev[o - 1][1:]
-        if k in orders:
-            powers[k] = _Band(band)
-    return powers
+    i, bands = np.arange(float(s)), [_Band(np.ones((1, s)), 0, np.zeros((0, s)))]
+    for k in range(1, top + 1):
+        bands.append(_Band(bands[-1].shifted(np.zeros(s), i - (k - 1), -i).diags[1:], 0, bands[-1].lead))
+    return bands
 
 
 def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> _Band:
@@ -194,11 +229,12 @@ def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -
     diag = np.append(0.0, (j * beta[1:] - np.cumsum(beta[:-1])) / (j * (j + 1)))
     terms = j[:-1] * j[1:] * (gamma[2:] * sub[1:-1] - gamma[1:-1] * sub[:-2] - diag[1:-1] ** 2)
     sup = np.append(0.0, np.cumsum(terms) / (j[:-1] * (j[:-1] + 2) * alpha[1:-1]))
+    diags = np.array([np.append(0.0, sub[:-1]), diag, np.append(sup, 0.0)])
     if lower is None:
-        return _Band([sub[:-1], diag, sup], -1)
+        return _Band(diags, -1, np.zeros((0, s)))
     nu = eval_basis_derivs(basis, s, lower)[0].astype(np.float64)
     row0 = -((np.append(0.0, nu[:-2]) * np.append(0.0, sup) + nu[:-1] * diag) + nu[1:] * sub)
-    return _Band([sub[:-1], diag, sup], -1, row0[None])
+    return _Band(diags, -1, row0[None])
 
 
 def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> _Band:
@@ -211,11 +247,10 @@ def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -
     alpha, beta, gamma = recurrence_arrays(basis, s + 2)
     eta = _derivative_table(alpha, beta, gamma, s + 1, (1,))[1].lead
     theta = solve_upper_triangular(eta[:s, 1:], np.eye(s))  # rows 1..s
-    mat = np.zeros((s, s))
-    mat[1:] = theta[:-1]
+    mat = np.vstack([np.zeros(s), theta[:-1]])
     if lower is not None:
         mat[0] = -(eval_basis_derivs(basis, s, lower)[0, 1:].astype(np.float64) @ theta)
-    return _Band([], -1, mat)
+    return _Band(np.zeros((0, s)), -1, mat)
 
 
 def integral_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:

@@ -15,24 +15,25 @@ is how far the operator can raise coefficient indices, so the section holds
 every row the degree-n image can touch.  One recurrence pass builds every
 power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
-Every term matrix but the identity is an opmatrix._Band: diagonals under
-optional dense leading rows, every row dense for H^k.  On the Laguerre basis
-xD is upper bidiagonal, so a term whose p is divisible by x^k, p = x^k q,
-enters the chain as q(M) * (x^k D^k), a band of width k kept as its k + 1
-diagonals, built from the two of xD; the Bessel section is pentadiagonal and
-needs no H^k at all.  Every other derivative term keeps H^k.  On a Jacobi
-or Laguerre basis the Volterra matrix is theta's three diagonals under its
-dense row 0, so p(M) V is banded below its first deg p + 1 rows.
+Every term matrix is an opmatrix._Band: diagonals under optional dense
+leading rows, one diagonal of ones for the identity, every row dense for
+H^k.  On the Laguerre basis xD is upper bidiagonal, so a term whose p is
+divisible by x^k, p = x^k q, enters the chain as q(M) * (x^k D^k), a band of
+width k kept as its k + 1 diagonals, built by k products with xD less a
+multiple of I; the Bessel section is pentadiagonal and needs no H^k at all.
+Every other derivative term keeps H^k.  On a Jacobi or Laguerre basis the
+Volterra matrix is theta's three diagonals under its dense row 0, so p(M) V
+is banded below its first deg p + 1 rows.
 
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
-has lower bandwidth m_c + h.  Assembly writes Pi into a Section, blocks of
-64 rows each held over the columns its rows can reach, and runs the Horner
-chain once per block, on its rows and a halo of as many rows on either side
-as the chain has products with M, so Pi is never one array.
+has lower bandwidth m_c + h.  The Horner chain runs once, on bands: M is
+tridiagonal, so each product widens the band by a diagonal on either side
+and a dense row under any dense rows.  Assembly cuts the result into a
+Section, blocks of 64 rows each held over the columns its rows can reach, so
+a banded Pi is never one array.
 
 Nor is the square Tau matrix built.  It is read from the condition rows and
-the section's blocks above row n+1-m_c, each cut to the columns from its
-first to its last nonzero; the almost-banded QR factors those blocks,
+the section's blocks above row n+1-m_c; the almost-banded QR factors them,
 keeping dense rows such as the condition rows and a Volterra row 0 apart,
 the extended-precision refinement residual reads the same blocks, and the
 blocks below give the residual tail.  On a banded section a solve holds
@@ -48,7 +49,7 @@ import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
 from .linalg import cond_estimate_factored, qr_factor, qr_solve
-from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _shift_apply, _volterra_band, _xd_powers
+from .opmatrix import MAX_SECTION_SIZE, _Band, _derivative_table, _shift_apply, _volterra_band, _xd_powers
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -71,7 +72,7 @@ __all__ = [
     "solve_tau_system",
 ]
 
-_BLOCK = 64  # rows per Horner chain of Pi, per section and per Tau matrix block
+_BLOCK = 64  # rows per block of a section and of the Tau matrix
 
 
 class NonFiniteSolutionError(ArithmeticError):
@@ -225,9 +226,10 @@ class Section:
     """An operator section of the given shape held as (rows, values, cols)
     triples of slices and arrays: blocks of _BLOCK rows in row order, each
     holding its rows over the columns cols, with zeros outside them.  From
-    assemble_pi, those are the columns its rows can reach: its rows widened
-    by the section's bandwidths, out to the last column when it holds a
-    dense leading row (a Volterra row 0) or a term matrix is dense."""
+    assemble_pi, those are the columns its rows can reach: from the lowest
+    diagonal of its first row to the highest of its last, out to the last
+    column when it holds a dense row (one a Volterra row 0 reaches, or any
+    row of a section with a dense term matrix)."""
 
     shape: tuple[int, int]
     blocks: list
@@ -241,18 +243,10 @@ class Section:
     @classmethod
     def from_dense(cls, a) -> Section:
         """The section held by a 2-d array: each block of _BLOCK rows a view
-        of a, cut to the columns from its first to its last nonzero."""
+        of a."""
         a = np.asarray(a, dtype=np.float64)
         rows = [slice(r0, min(r0 + _BLOCK, a.shape[0])) for r0 in range(0, a.shape[0], _BLOCK)]
-        return cls(a.shape, [_trim(r, a[r], slice(0, a.shape[1])) for r in rows])
-
-
-def _trim(rows: slice, vals: np.ndarray, cols: slice) -> tuple:
-    """A block cut to the columns from its first to its last nonzero, as a
-    view; an all-zero block keeps every column."""
-    nonzero = (vals != 0.0).any(axis=0)
-    lo, hi = int(np.argmax(nonzero)), vals.shape[1] - int(np.argmax(nonzero[::-1]))
-    return rows, vals[:, lo:hi], slice(cols.start + lo, cols.start + hi)
+        return cls(a.shape, [(r, a[r], slice(0, a.shape[1])) for r in rows])
 
 
 def operator_height(terms) -> int:
@@ -262,57 +256,36 @@ def operator_height(terms) -> int:
 
 
 def _poly_in_shift(recurrence, terms, shape: tuple[int, int]) -> Section:
-    """Sum of p(M) @ A over the (p, A) terms (A None for the identity, else
-    an opmatrix._Band), with M the shift of the recurrence arrays (alpha,
-    beta, gamma), by one Horner chain: from the top degree down,
-    t <- M t + sum of p_k A.
+    """Sum of p(M) @ A over the (p, A) terms, each A an opmatrix._Band, with
+    M the shift of the recurrence arrays (alpha, beta, gamma), by one Horner
+    chain over bands: from the top degree down, t <- M t + sum of p_k A.
 
-    Column j of every partial sum vanishes below row j + height, height =
-    max(deg p - low) with low the lowest offset of A (0 for the identity),
-    and above row j - upper - top, upper the widest upper band below the
-    dense rows and top the chain's degree, except in the rows [0, lead) that
-    a band's dense rows reach after deg p products with M.  Each block of
-    _BLOCK rows is held over the columns between those bounds, copied out of
-    its own chain, run on those columns and on its rows widened by top rows
-    on either side, the rows outside taken as zero.  M is tridiagonal, so
-    top products move no entry further than top rows: the block equals the
-    full chain's bit for bit.  The copy lets the halo go, which a high-degree
-    p makes many times the block.  shape has at least as many rows as
-    columns, and each A at least shape entries.
+    M is tridiagonal, so each product widens t by a diagonal on either side
+    and a dense row under any dense rows, and each sum spans both bands.
+    Every entry is summed in the order of the chain over full arrays, so t
+    is its result bit for bit.  The section's blocks of _BLOCK rows are cut
+    from t at its own extents: row i from column i + low on, to its last
+    diagonal, or to the last column in a block holding a dense row.  shape
+    has at least as many rows as columns, and each A as many rows.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
-    height = max(0, *(p.shape[0] - 1 - (0 if a is None else a.low) for p, a in terms))
-    upper = max(0 if a is None else a.low + len(a.diags) - 1 for _, a in terms)
-    lead = max([a.lead.shape[0] + p.shape[0] - 1 for p, a in terms if a is not None and a.lead is not None], default=0)
+    # zero: no diagonals, and low past the last column, so the first sum
+    # takes the extents of its term
+    t = _Band(np.zeros((0, rows)), rows, np.zeros((0, rows)))
+    for k in range(top, -1, -1):
+        if k < top:
+            t = t.shifted(*recurrence)
+        for p, a in terms:
+            if k < p.shape[0]:
+                t = t.plus(p[k], a)
     out = []
     for i0 in range(0, rows, _BLOCK):
         i1 = min(i0 + _BLOCK, rows)
-        j1 = cols if i0 < lead else min(cols, i1 + upper + top)
-        j0 = min(max(0, i0 - height), j1)
-        r0 = max(0, i0 - top)
-        t = _chain(recurrence, terms, top, r0, min(rows, i1 + top), j0, j1)
-        out.append((slice(i0, i1), t[i0 - r0 : i1 - r0].copy(), slice(j0, j1)))
+        j1 = cols if i0 < len(t.lead) else min(cols, i1 + t.low + len(t.diags) - 1)
+        j0 = min(max(0, i0 + t.low), j1)
+        out.append((slice(i0, i1), t.block(i0, i1, j0, j1), slice(j0, j1)))
     return Section(shape, out)
-
-
-def _chain(recurrence, terms, top: int, r0: int, r: int, c0: int, c1: int) -> np.ndarray:
-    """Rows r0..r-1, columns c0..c1-1 of the Horner chain, with the rows
-    outside taken as zero."""
-    shift = [a[r0:] for a in recurrence]
-    i = np.arange(max(r0, c0), min(r, c1))
-    diag = (i - r0, i - c0)
-    blocks = [None if a is None else a.block(r0, r, c0, c1) for _, a in terms]
-    t = np.zeros((r - r0, c1 - c0))
-    for k in range(top, -1, -1):
-        if k < top:
-            t = _shift_apply(*shift, t)
-        for (p, _), blk in zip(terms, blocks):
-            if k < p.shape[0] and blk is None:
-                t[diag] += p[k]
-            elif k < p.shape[0]:
-                t += p[k] * blk
-    return t
 
 
 def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
@@ -327,18 +300,16 @@ def assemble_pi(problem: TauProblem) -> Section:
     """Operator section Pi of shape (n+1+h, n+1): Pi @ a holds the
     nu-coefficients of L[u_n]."""
     n, basis = problem.degree, problem.basis
-    h = operator_height(problem.operator)
-    s = n + 1 + h
+    s = n + 1 + operator_height(problem.operator)
     recurrence = recurrence_arrays(basis, s + 1)
     xd = [_xd_order(basis, t) for t in problem.operator]
-    banded = set(xd) - {0}
     dense = {t.order for t, k in zip(problem.operator, xd) if t.order > 0 and not k}
-    factors = _xd_powers(s, banded) if banded else {}
-    powers = _derivative_table(*recurrence, s, dense) if dense else {}  # I = D^0: None
+    factors = _xd_powers(s, max(xd))  # x^0 D^0 = I for every basis
+    powers = _derivative_table(*recurrence, s, dense) if dense else {}
     terms = [
         (t.coeff[k:], factors[k])
-        if k
-        else (t.coeff, _volterra_band(basis, s, t.lower) if t.order < 0 else powers.get(t.order))
+        if k or not t.order
+        else (t.coeff, _volterra_band(basis, s, t.lower) if t.order < 0 else powers[t.order])
         for t, k in zip(problem.operator, xd)
     ]
     return _poly_in_shift(recurrence, terms, (s, n + 1))
@@ -352,9 +323,13 @@ def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     d = c.shape[0] - 1
     if d + 1 > length:
         raise ValueError(f"polynomial degree {d} does not fit in length {length}")
-    nu = np.zeros(length)
-    nu[: d + 1] = _chain(recurrence_arrays(basis, length), [(c, None)], d, 0, d + 1, 0, 1)[:, 0]
-    return nu
+    recurrence = recurrence_arrays(basis, d + 1)
+    t = np.zeros((d + 1, 1))
+    for k in range(d, -1, -1):
+        if k < d:
+            t = _shift_apply(*recurrence, t)
+        t[0] += c[k]
+    return np.pad(t[:, 0], (0, length - d - 1))
 
 
 def condition_row(cond: ConditionSpec, basis: RecurrenceBasis, n: int) -> np.ndarray:
@@ -391,14 +366,14 @@ def solve_tau_system(problem: TauProblem, section: Section) -> TauSolution:
     cond_rows = np.zeros((m_c, n + 1), dtype=np.longdouble)
     for i, cond in enumerate(problem.conditions):
         cond_rows[i] = condition_row(cond, problem.basis, n)
-    # The Tau matrix: the condition rows, then the section's rows above keep,
-    # each block cut to its nonzero columns; the rows below are the tail.
+    # The Tau matrix: the condition rows, then the section's rows above keep;
+    # the rows below are the tail.
     blocks = [(slice(0, m_c), cond_rows.astype(np.float64), slice(0, n + 1))]
     tail_blocks = []
     for rows, vals, cols in section.blocks:
         split = min(max(keep, rows.start), rows.stop)
         if rows.start < split:
-            blocks.append(_trim(slice(m_c + rows.start, m_c + split), vals[: split - rows.start], cols))
+            blocks.append((slice(m_c + rows.start, m_c + split), vals[: split - rows.start], cols))
         if split < rows.stop:
             tail_blocks.append((slice(split - keep, rows.stop - keep), vals[split - rows.start :], cols))
     row_max = np.concatenate([np.max(np.abs(vals), axis=1) for _, vals, _ in blocks])

@@ -1,5 +1,7 @@
-"""The band format of the term matrices: any rectangle of a band equals the
-same rectangle of its full matrix, built entry by entry."""
+"""The band format of the term matrices and of the Horner chain over them:
+any rectangle of a band, its product with the shift and its sum with a
+multiple of another band equal the same operations on its full matrix,
+built entry by entry."""
 
 import numpy as np
 import pytest
@@ -7,52 +9,92 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tau_spectra.opmatrix import _Band  # noqa: E402
+from tau_spectra.opmatrix import _Band, _shift_apply  # noqa: E402
 
-# Distinct nonzero values, so an entry placed in the wrong cell shows.
-VALUES = st.integers(1, 999).map(float)
+# Distinct nonzero values, so an entry placed in the wrong cell shows; their
+# sums and products round, so a sum taken in another order shows too.
+VALUES = st.floats(-9.0, 9.0, allow_nan=False).filter(lambda v: v != 0.0)
 
 
 @st.composite
-def bands(draw):
-    """A square band of size s: diagonals at consecutive offsets from a
-    random low, with or without dense leading rows, or no diagonals and
-    every row dense."""
-    s = draw(st.integers(1, 12))
+def bands(draw, s):
+    """A band of size s: low from -2 to 3, no or up to four diagonals, and
+    no, some or every row dense, each dense row i zero left of column
+    i + low as the format requires."""
+    low = draw(st.integers(-2, 3))
+    width = draw(st.integers(0, 4))
+    n_lead = draw(st.sampled_from([0, s, draw(st.integers(0, s))]))
 
-    def rows(count):
-        return np.array(draw(st.lists(st.lists(VALUES, min_size=s, max_size=s), min_size=count, max_size=count)))
+    def values(shape):
+        return np.array(draw(st.lists(VALUES, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))).reshape(
+            shape
+        )
 
-    if draw(st.booleans()):
-        return _Band([], draw(st.integers(-1, 3)), rows(s)), s
-    low = draw(st.integers(1 - s, s - 1))
-    offsets = range(low, low + draw(st.integers(1, s - low)))
-    diags = [np.array(draw(st.lists(VALUES, min_size=s - abs(o), max_size=s - abs(o)))) for o in offsets]
-    lead = rows(draw(st.integers(1, s))) if draw(st.booleans()) else None
-    return _Band(diags, low, lead), s
+    i = np.arange(s)
+    cols = i + low + np.arange(width)[:, None]
+    diags = np.where((cols >= 0) & (cols < s), values((width, s)), 0.0)
+    lead = np.where(i >= i[:n_lead, None] + low, values((n_lead, s)), 0.0)
+    return _Band(diags, low, lead)
 
 
-def _full(band, s):
-    """The band's s x s matrix: diagonal o holds entry k at (k, k + o) for
-    o >= 0 and at (k - o, k) below, and the dense rows replace the first
-    rows."""
+def _full(band):
+    """The band's s x s matrix: diagonal q holds row i's entry at column
+    i + low + q, and the dense rows replace the first rows."""
+    s = band.diags.shape[1]
     full = np.zeros((s, s))
-    for o, d in enumerate(band.diags, band.low):
-        for k, value in enumerate(d):
-            i, j = (k, k + o) if o >= 0 else (k - o, k)
-            full[i, j] = value
-    if band.lead is not None:
-        for i, row in enumerate(band.lead):
-            full[i] = row
+    for q, d in enumerate(band.diags):
+        for i, value in enumerate(d):
+            if 0 <= i + band.low + q < s:
+                full[i, i + band.low + q] = value
+    for i, row in enumerate(band.lead):
+        full[i] = row
     return full
 
 
+def _holds_format(band):
+    """Every row zero left of column i + low, as the section's blocks read."""
+    full = _full(band)
+    i, j = np.indices(full.shape)
+    return not np.any(full[j < i + band.low])
+
+
+SIZES = st.integers(1, 12)
+
+
 @settings(max_examples=300, deadline=None)
-@given(bands(), st.data())
-def test_block_equals_the_rectangle_of_the_full_matrix(drawn, data):
-    band, s = drawn
+@given(SIZES.flatmap(lambda s: st.tuples(bands(s), st.data())))
+def test_block_equals_the_rectangle_of_the_full_matrix(drawn):
+    band, data = drawn
+    s = band.diags.shape[1]
     r0, r = sorted(data.draw(st.lists(st.integers(0, s), min_size=2, max_size=2)))
     c0, c1 = sorted(data.draw(st.lists(st.integers(0, s), min_size=2, max_size=2)))
     blk = band.block(r0, r, c0, c1)
     assert blk.shape == (r - r0, c1 - c0)
-    assert np.array_equal(blk, _full(band, s)[r0:r, c0:c1])
+    assert np.array_equal(blk, _full(band)[r0:r, c0:c1])
+
+
+# Exact equality: each entry is the same sum of the same products, in the
+# same order, as the full product's (array_equal counts -0.0 equal to 0.0).
+@settings(max_examples=300, deadline=None)
+@given(SIZES.flatmap(lambda s: st.tuples(bands(s), st.lists(VALUES, min_size=3 * s + 3, max_size=3 * s + 3))))
+def test_shifted_equals_shift_apply_of_the_full_matrix(drawn):
+    band, coeffs = drawn
+    s = band.diags.shape[1]
+    alpha, beta, gamma = np.array(coeffs).reshape(3, s + 1)
+    full = _full(band)
+    shifted = band.shifted(alpha, beta, gamma)
+    assert np.array_equal(_full(shifted), _shift_apply(alpha, beta, gamma, full))
+    assert shifted.lead.shape[0] == min(band.lead.shape[0] + (band.lead.shape[0] > 0), s)
+    assert _holds_format(shifted)
+    assert np.array_equal(_full(band), full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIZES.flatmap(lambda s: st.tuples(bands(s), bands(s), VALUES)))
+def test_plus_equals_full_plus_c_times_full_other(drawn):
+    band, other, c = drawn
+    full, full_other = _full(band), _full(other)
+    total = band.plus(c, other)
+    assert np.array_equal(_full(total), full + c * full_other)
+    assert _holds_format(total)
+    assert np.array_equal(_full(other), full_other)  # B is only read

@@ -1,6 +1,7 @@
 """System assembly, the square Tau solve, and the perturbation tail."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from tau_spectra.cli import airy_problem, bessel_problem
 from tau_spectra.linalg import SingularMatrixError
 from tau_spectra.opmatrix import (
     MAX_SECTION_SIZE,
+    _Band,
     _derivative_table,
     _shift_apply,
     derivative_matrix,
@@ -505,9 +507,8 @@ BANDED_PROBLEMS = {
     "bessel-laguerre-300": bessel_problem(10, 300),
     "airy-legendre-200": airy_problem(LEG, 200, 1e-3),
     "volterra-jacobi(1,-0.9)-120": _volterra_problem(jacobi(1.0, -0.9), 120),
-    # The row blocks a Volterra row 0 reaches after deg p products with M are
-    # held over every column, the later ones over the band; at n = 63 the
-    # section's last two rows fall in a second row block.
+    # The rows a Volterra row 0 reaches after deg p products with M are dense,
+    # held over every column, the later ones over the band.
     "volterra-quadratic-p-jacobi(1,-0.9)-130": TauProblem(
         basis=jacobi(1.0, -0.9),
         operator=[identity_term([1.0, 0.5]), volterra_term([0.5, -1.2, 0.3], lower=-1.0)],
@@ -547,9 +548,9 @@ BANDED_PROBLEMS = {
         rhs=[0.0],
         degree=300,
     ),
-    # Each row block's chain runs on a halo of deg p rows on either side.
-    # Here rows 1..63, which Volterra row 0 reaches, are the halo of the
-    # second row block;
+    # The chain's band grows a diagonal on either side per product with M.
+    # Here p(M) V is dense in its first deg p + 1 = 64 rows, the first row
+    # block;
     "volterra-degree-63-jacobi(1,-0.9)-130": TauProblem(
         basis=jacobi(1.0, -0.9),
         operator=[identity_term([1.0]), volterra_term([(-1.0) ** k / (k + 1) for k in range(64)], lower=-1.0)],
@@ -557,7 +558,7 @@ BANDED_PROBLEMS = {
         rhs=[0.0],
         degree=130,
     ),
-    # here the halo, 70 rows, is wider than a block;
+    # here p(M) is 141 diagonals wide, more than two blocks;
     "identity-degree-70-legendre-200": TauProblem(
         basis=LEG,
         operator=[identity_term([1.0 / (k + 1) for k in range(71)])],
@@ -565,13 +566,22 @@ BANDED_PROBLEMS = {
         rhs=[0.0],
         degree=200,
     ),
-    # and here x^2 D^2 is a band of three diagonals under a degree-4 quotient.
+    # here x^2 D^2 is a band of three diagonals under a degree-4 quotient;
     "x2d2-quartic-q-laguerre-129": TauProblem(
         basis=laguerre(),
         operator=[derivative_term([0.0, 0.0, 1.0, -2.0, 0.5, 3.0, -1.0], 2), identity_term([1.0])],
         conditions=[],
         rhs=[0.0],
         degree=129,
+    ),
+    # and here the 301 diagonals of a degree-150 p(M) are written into the
+    # dense rows of H.
+    "identity-degree-150-plus-D-legendre-400": TauProblem(
+        basis=LEG,
+        operator=[identity_term([1.0 / (k + 1) for k in range(151)]), derivative_term([0.5, -1.0], 1)],
+        conditions=[],
+        rhs=[0.0],
+        degree=400,
     ),
     "monomial-mixed-150": TauProblem(
         basis=monomial(),
@@ -590,6 +600,39 @@ BANDED_PROBLEMS = {
 @pytest.mark.parametrize("problem", BANDED_PROBLEMS.values(), ids=BANDED_PROBLEMS.keys())
 def test_banded_assembly_equals_dense_chain_bitwise(problem):
     assert assemble_pi(problem).to_dense().tobytes() == _dense_pi(problem).tobytes()
+
+
+def test_chain_multiplies_by_m_once_per_degree(monkeypatch):
+    # One Horner chain over the whole section: deg p = 3 products with M for
+    # the Volterra problem, whose section has five row blocks.
+    problem = _volterra_problem(jacobi(1.0, -0.9), 300)
+    assert problem.degree + 1 + operator_height(problem.operator) > 4 * tau._BLOCK
+    expected = _dense_pi(problem)
+    calls = []
+    real = _Band.shifted
+
+    def spy(band, *recurrence):
+        calls.append(band.diags.shape[1])
+        return real(band, *recurrence)
+
+    monkeypatch.setattr(_Band, "shifted", spy)
+    assert assemble_pi(problem).to_dense().tobytes() == expected.tobytes()
+    assert calls == [304] * 3
+
+
+def test_high_degree_coefficient_assembles_in_seconds():
+    # On a 2-core Xeon VM a chain per 64-row block, run on a halo of deg p
+    # rows on either side, took 17.4-17.8 s; the band chain takes 1.4-1.5 s.
+    problem = TauProblem(
+        basis=LEG,
+        operator=[identity_term(np.linspace(1.0, 2.0, 301)), derivative_term([1.0], 1)],
+        conditions=[],
+        rhs=[0.0],
+        degree=1000,
+    )
+    start = time.perf_counter()
+    assemble_pi(problem)
+    assert time.perf_counter() - start <= 6.0
 
 
 def _laguerre_problem(operator, n):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tau_spectra import tau  # noqa: E402
 from tau_spectra.basis import laguerre, recurrence_arrays  # noqa: E402
-from tau_spectra.opmatrix import _derivative_table, _shift_apply  # noqa: E402
+from tau_spectra.opmatrix import _Band, _derivative_table, _shift_apply  # noqa: E402
 from tau_spectra.tau import OperatorTerm, TauProblem, assemble_pi, operator_height  # noqa: E402
 
 
@@ -47,7 +47,8 @@ def _dense_route(problem):
     recurrence = recurrence_arrays(laguerre(), s + 1)
     orders = {t.order for t in problem.operator if t.order > 0}
     powers = _derivative_table(*recurrence, s, orders) if orders else {}
-    terms = [(t.coeff, powers.get(t.order)) for t in problem.operator]
+    powers[0] = _Band(np.ones((1, s)), 0, np.zeros((0, s)))  # the identity
+    terms = [(t.coeff, powers[t.order]) for t in problem.operator]
     return tau._poly_in_shift(recurrence, terms, (s, n + 1)).to_dense()
 
 
