@@ -33,8 +33,8 @@ import sys
 import numpy as np
 
 from .basis import RecurrenceBasis, change_of_basis, jacobi, laguerre, monomial, recurrence_arrays
+from .linalg import Section, _shift_apply
 from .opmatrix import (
-    _shift_apply,
     derivative_matrix,
     integral_matrix,
     shift_matrix,
@@ -47,7 +47,6 @@ from .tau import (
     ConditionTerm,
     NonFiniteSolutionError,
     OperatorTerm,
-    Section,
     TauProblem,
     assemble_pi,
     derivative_term,

@@ -1,5 +1,13 @@
 """Linear algebra for column-convention coefficient systems.
 
+Every matrix between assembly and solve is one type, Section: a matrix held
+as its diagonals under its dense leading rows.  The term matrices, the
+Horner chain that sums them into the operator section Pi, Pi itself and the
+square Tau matrix are all Sections, and the QR, the refinement residual,
+the residual tail and the condition estimate read them through its
+methods: the first and last nonzero column of each row, any rectangle, a
+banded product and the 1-norm.
+
 The Tau system is factored by an almost-banded QR in the style of Olver &
 Townsend, "A fast and well-conditioned spectral method" (SIAM Rev. 55,
 2013): a few dense rows C over a band.  Per block of _BLOCK columns, one
@@ -21,7 +29,6 @@ keeps that exact rounding.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "SingularMatrixError",
+    "Section",
     "QRFactors",
     "qr_factor",
     "qr_solve",
@@ -47,20 +55,155 @@ class SingularMatrixError(ArithmeticError):
         self.pivot_index = pivot_index
 
 
-_BLOCK = 64  # columns per block of the QR
+_BLOCK = 64  # columns per block of the QR, rows per strip of a Section's dense rows
 
 
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    return a
+@dataclass(frozen=True, eq=False)
+class Section:
+    """A matrix of at least as many rows as columns, held as its diagonals
+    under its dense leading rows.  diags[q, i] = A[i, i + low + q], row i's
+    entries from column i + low on, zero outside the matrix; lead[i] is row
+    i, in place of its diagonals' entries.  Every row i is nonzero only from
+    column i + low on, which check tests of the dense rows.  A matrix dense
+    in every row (H^k, a custom theta, a section from_dense) has no
+    diagonals, every row in lead, and low the lowest offset it can be nonzero
+    at.  shifted and plus, the steps of the Horner chain, take square matrices."""
+
+    diags: np.ndarray
+    low: int
+    lead: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.diags.shape[1], self.lead.shape[1]
+
+    @classmethod
+    def from_dense(cls, a) -> Section:
+        """The matrix a 2-d array holds, every row dense: a view of a."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+        return cls(np.zeros((0, a.shape[0])), 1 - a.shape[0], a)
+
+    def to_dense(self) -> np.ndarray:
+        return np.array(self.block(0, self.shape[0], 0, self.shape[1]))
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Rows r0..r1-1, columns c0..c1-1, as an array: a view of lead when
+        its rows cover them.  Row i's diagonals are written through a view
+        whose row stride is one float64 entry longer than the block's, which
+        shears them into columns i + low on."""
+        if r1 <= max(r0, len(self.lead)):
+            return self.lead[r0:r1, c0:c1]
+        rows, w, start = r1 - r0, len(self.diags), min(r0 + self.low, c0)
+        width = max(r0 + self.low + rows + w - 1, c1) - start
+        blk = np.zeros((rows, width))
+        sheared = np.ndarray((rows, w), float, blk, 8 * (r0 + self.low - start), (8 * width + 8, 8))
+        sheared[...] = self.diags[:, r0:r1].T
+        blk[: max(len(self.lead) - r0, 0), c0 - start : c1 - start] = self.lead[r0:, c0:c1]
+        return blk[:, c0 - start : c1 - start]
+
+    def check(self) -> None:
+        """Raise ValueError unless every dense row i is zero left of column
+        i + low, the format the other methods trust."""
+        rows, cols = np.indices(self.lead.shape, sparse=True)
+        if np.any((self.lead != 0.0) & (cols < rows + self.low)):
+            raise ValueError(f"a dense row i is nonzero left of column i + low, low = {self.low}")
+
+    def _strips(self, stop: int):
+        """(r, r1, c0, rows r..r1-1 over columns c0 on, as far as they can be
+        nonzero) for each strip of at most _BLOCK rows above row stop, the
+        dense rows and the band's rows in strips of their own."""
+        n, cols, w = len(self.lead), self.shape[1], len(self.diags)
+        for r in (*range(0, min(n, stop), _BLOCK), *range(n, stop, _BLOCK)):
+            r1, c0 = min(r + _BLOCK, stop, n if r < n else stop), min(max(0, r + self.low), cols)
+            c1 = cols if r < n else min(cols, r1 + self.low + w - 1)
+            if c0 < c1:
+                yield r, r1, c0, self.block(r, r1, c0, c1)
+
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last nonzero column of each row, read from the values:
+        cols and -1 for a zero row."""
+        rows, cols = self.shape
+        first, last = np.full(rows, cols), np.full(rows, -1)
+        for r, r1, c0, blk in self._strips(rows):
+            nonzero = blk != 0.0
+            some = nonzero.any(axis=1)
+            first[r:r1] = np.where(some, c0 + nonzero.argmax(axis=1), cols)
+            last[r:r1] = np.where(some, c0 + blk.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+        return first, last
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A @ x in the precision of x, each row's stored entries summed in
+        column order (numpy's long double dot sums the dense rows so), so a
+        long double product equals the full matrix's bit for bit."""
+        rows, cols = self.shape
+        n, w = len(self.lead), len(self.diags)
+        out = np.zeros(rows, dtype=x.dtype)
+        for r, r1, c0, blk in self._strips(n):
+            out[r:r1] = np.dot(blk, x[c0 : c0 + blk.shape[1]])
+        # row i's diagonal q meets x[i + low + q], zero past either end
+        start = min(n + self.low, 0)
+        pad = np.zeros(max(rows + self.low + w - 1, cols) - start, dtype=x.dtype)
+        pad[-start : cols - start] = x
+        for q, d in enumerate(self.diags[:, n:]):
+            out[n:] += d * pad[n + self.low + q - start : rows + self.low + q - start]
+        return out
+
+    def norm1(self) -> float:
+        """Largest column sum of |A|, each column summed in row order, so it
+        does not depend on which rows are held dense."""
+        sums = np.zeros(self.shape[1])
+        for _, _, c0, blk in self._strips(self.shape[0]):
+            strip = np.abs(blk)
+            strip[0] += sums[c0 : c0 + blk.shape[1]]
+            sums[c0 : c0 + blk.shape[1]] = np.add.reduce(strip, axis=0)
+        return float(np.max(sums, initial=0.0))
+
+    def shifted(self, alpha, beta, gamma) -> Section:
+        """M @ A, M the tridiagonal shift of the recurrence arrays, every
+        entry summed in _shift_apply's order: one more diagonal on either
+        side, and one more dense row under any dense rows."""
+        s, n = self.diags.shape[1], len(self.lead)
+        pad = np.vstack([np.zeros((2, s)), self.diags, np.zeros((2, s))])
+        # A[i, c], A[i-1, c] and A[i+1, c] are diagonals q-1, q and q-2 of
+        # rows i, i-1 and i+1, for c on diagonal q of the product's row i.
+        diags = beta[:s] * pad[1:-1]
+        diags[:, 1:] += alpha[: s - 1] * pad[2:, :-1]
+        diags[:, :-1] += gamma[1:s] * pad[:-2, 1:]
+        lead = _shift_apply(alpha, beta, gamma, self.block(0, min(n + 2, s), 0, s))[: n + 1] if n else self.lead
+        return Section(diags, self.low - 1, lead)
+
+    def plus(self, c: float, other: Section) -> Section:
+        """A + c B, each entry B stores summed as a + c b.  Writes into A's
+        arrays when they already span B's diagonals and dense rows, so A must
+        be the caller's own, such as a Horner chain's running sum."""
+        s, low = self.diags.shape[1], min(self.low, other.low)
+        high = max([b.low + len(b.diags) for b in (self, other) if len(b.diags)], default=low)
+        n_lead, a = max(len(self.lead), len(other.lead)), self
+        if (low, high, n_lead) != (self.low, self.low + len(self.diags), len(self.lead)):
+            a = Section(np.zeros((high - low, s)), low, self.block(0, n_lead, 0, s))
+            a.diags[self.low - low : self.low - low + len(self.diags)] = self.diags
+        a.diags[other.low - low : other.low - low + len(other.diags)] += c * other.diags
+        # B's dense rows in strips, each from the first column B can be
+        # nonzero at in it: half the work on a dense triangle, in cache
+        for r in range(0, len(other.lead), _BLOCK):
+            j, r1 = max(0, r + other.low), min(r + _BLOCK, len(other.lead))
+            a.lead[r:r1, j:] += c * other.lead[r:r1, j:]
+        if len(other.lead) < n_lead:  # B's diagonals in A's dense rows
+            for o, d in enumerate(other.diags, other.low):
+                i = np.arange(max(len(other.lead), -o), min(n_lead, s - o))
+                a.lead[i, i + o] += c * d[i]
+        return a
 
 
-def _reach(first: np.ndarray) -> np.ndarray:
-    """reach[j]: one past the last row i with first[i] <= j, the rows that
-    column j and every column before it can touch."""
-    return np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(first.shape[0]), "right")
+def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
+    """Product M @ t using only the tridiagonal coefficients of M."""
+    s = t.shape[0]
+    out = beta[:s, None] * t
+    out[1:] += alpha[: s - 1, None] * t[:-1]
+    out[:-1] += gamma[1:s, None] * t[1:]
+    return out
 
 
 def _rhs_copy(factors, b) -> np.ndarray:
@@ -102,37 +245,9 @@ class QRFactors:
     growth: float
 
 
-def _row_spans(blocks, n: int):
-    """First and last nonzero column of each row held by blocks; n and -1
-    for a zero row."""
-    first, last = np.full(n, n), np.full(n, -1)
-    for rows, vals, cols in blocks:
-        nonzero = vals != 0.0
-        some = nonzero.any(axis=1)
-        first[rows] = np.where(some, cols.start + nonzero.argmax(axis=1), n)
-        last[rows] = np.where(some, cols.stop - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
-    return first, last
-
-
-def _gather(blocks, starts: list, i0: int, i1: int, c0: int, c1: int) -> np.ndarray:
-    """Rows i0..i1-1 and columns c0..c1-1 of the matrix blocks hold; starts
-    lists each block's first row, in increasing order."""
-    out = np.zeros((i1 - i0, c1 - c0))
-    for rows, vals, cols in blocks[max(bisect_right(starts, i0) - 1, 0) : bisect_left(starts, i1)]:
-        r0, r1 = max(rows.start, i0), min(rows.stop, i1)
-        j0, j1 = max(cols.start, c0), min(cols.stop, c1)
-        if r0 < r1 and j0 < j1:
-            out[r0 - i0 : r1 - i0, j0 - c0 : j1 - c0] = vals[
-                r0 - rows.start : r1 - rows.start, j0 - cols.start : j1 - cols.start
-            ]
-    return out
-
-
-def qr_factor(blocks, n: int) -> QRFactors:
-    """Householder QR of the n x n matrix held by blocks: (rows, values,
-    cols) triples of slices and arrays, in row order, each row in one block,
-    that cover every nonzero.  Raises SingularMatrixError at the first
-    exactly zero diagonal entry of R.
+def qr_factor(a: Section) -> QRFactors:
+    """Householder QR of the square matrix a.  Raises SingularMatrixError at
+    the first exactly zero diagonal entry of R.
 
     The first d rows are kept as C, d the number that makes the factors
     smallest: on a Tau matrix its condition rows and any other dense rows
@@ -144,8 +259,10 @@ def qr_factor(blocks, n: int) -> QRFactors:
     part ends past the last nonzero of every row the block holds, so on a
     banded matrix it spans _BLOCK plus both bandwidths.
     """
-    first, last = _row_spans(blocks, n)
-    starts = [rows.start for rows, _, _ in blocks]
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    first, last = a.spans()
     # d minimizes the entries the factors hold per block of rows: an explicit
     # part at most _BLOCK + u_d columns wide (u_d the upper bandwidth of the
     # rows below d) and never past column n, plus d entries of W and of C.
@@ -153,9 +270,11 @@ def qr_factor(blocks, n: int) -> QRFactors:
     c0 = np.arange(0, n, _BLOCK)
     held = np.minimum(n - c0, _BLOCK + upper[:, None]).sum(axis=1) + 2 * c0.size * np.arange(n + 1)
     d = int(np.argmin(held))
-    dense = _gather(blocks, starts, 0, d, 0, n)
-    reach = _reach(first)
-    maxa = max(float(np.max(np.abs(vals), initial=0.0)) for _, vals, _ in blocks)
+    dense = a.block(0, d, 0, n)
+    # reach[j]: one past the last row i with first[i] <= j, the rows that
+    # column j and every column before it can touch
+    reach = np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(n), "right")
+    maxa = float(np.max(np.abs(dense), initial=0.0))
     maxr = 0.0
     # rows carried from block to block: explicit columns c0..end-1, and W
     work, coef = np.zeros((0, 0)), np.zeros((0, d))
@@ -166,9 +285,9 @@ def qr_factor(blocks, n: int) -> QRFactors:
         k = c1 - c0
         new_top = max(top, c1, int(reach[c1 - 1]))
         new_end = max(end, c1, int(np.max(last[max(top, d) : new_top], initial=-1)) + 1)
-        work = np.vstack(
-            [np.hstack([work, coef @ dense[:, end:new_end]]), _gather(blocks, starts, top, new_top, c0, new_end)]
-        )
+        rows = a.block(top, new_top, c0, new_end)
+        maxa = max(maxa, float(np.max(np.abs(rows), initial=0.0)))
+        work = np.vstack([np.hstack([work, coef @ dense[:, end:new_end]]), rows])
         coef = np.vstack([coef, np.arange(top, new_top)[:, None] == np.arange(d)])
         top, end = new_top, new_end
         h, tau = np.linalg.qr(work[:, :k], mode="raw")
@@ -187,8 +306,9 @@ def qr_factor(blocks, n: int) -> QRFactors:
         rest = np.hstack([work[:, k:], coef])
         rest -= y @ (v.T @ rest)
         width = end - c1
+        # fill copied, so that no view keeps this block's rows of rest alive
         blk = _QRBlock(
-            c0, c1, top, end, v, y, np.hstack([r, rest[:k, :width]]), rest[:k, width:], np.linalg.inv(r)
+            c0, c1, top, end, v, y, np.hstack([r, rest[:k, :width]]), rest[:k, width:].copy(), np.linalg.inv(r)
         )
         fill = blk.fill @ dense[:, end:]
         maxr = max(maxr, float(np.max(np.abs(blk.r))), float(np.max(np.abs(fill), initial=0.0)))
@@ -238,7 +358,9 @@ def qr_solve_transposed(factors: QRFactors, b) -> np.ndarray:
 
 def solve_upper_triangular(u, b) -> np.ndarray:
     """Back substitution; b may be a vector or a matrix of columns."""
-    u = _as_square(u)
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {u.shape}")
     x = np.array(b, dtype=np.float64, copy=True)
     vec = x.ndim == 1
     if vec:

@@ -35,9 +35,10 @@ relation: their theta[1:] solves eta[:s, 1:] @ theta[1:] = I by the back
 substitution similarity_pi uses (linalg.solve_upper_triangular), in O(s^3),
 and their Volterra row 0 is that product.
 
-The builders of the term matrices tau assembles from return one form, _Band:
-a row-indexed array of diagonals under optional dense rows, every row dense
-for H^k and a custom theta.  The same type carries tau's Horner chain: its
+The builders of the term matrices tau assembles from return the package's
+one matrix type, linalg.Section: a row-indexed array of diagonals under
+optional dense rows, every row dense for H^k and a custom theta.  The same
+type carries tau's Horner chain, whose result is the operator section: its
 product with the shift adds a diagonal on either side, and its sum with
 another band spans both, each entry summed as over the full arrays.
 integral_matrix and volterra_matrix return theta's band as an array.
@@ -49,12 +50,10 @@ runs the derivative recurrence one index larger internally).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import RecurrenceBasis, eval_basis_derivs, recurrence_arrays
-from .linalg import solve_upper_triangular
+from .linalg import Section, _shift_apply, solve_upper_triangular
 
 __all__ = [
     "shift_matrix",
@@ -77,81 +76,6 @@ def _check_size(s: int, smallest: int = 1) -> None:
         raise ValueError(f"matrix size must be in {smallest}..{MAX_SECTION_SIZE}, got {s}")
 
 
-@dataclass(frozen=True)
-class _Band:
-    """A square matrix A of size s as its diagonals under its dense leading
-    rows.  diags[q, i] = A[i, i + low + q], row i's entries from column
-    i + low on, zero where that column falls outside the matrix; lead[i] is
-    row i, in place of its diagonals' entries.  Every row i is nonzero only
-    from column i + low on.  A matrix dense in every row (H^k, a custom
-    theta) has no diagonals, every row in lead, and low the lowest offset it
-    can be nonzero at (k for H^k, -1 for theta)."""
-
-    diags: np.ndarray
-    low: int
-    lead: np.ndarray
-
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Rows r0..r1-1, columns c0..c1-1, as an array: a view of lead when
-        its rows cover them.  Row i's diagonals are written through a view
-        whose row stride is one float64 entry longer than the block's, which
-        shears them into columns i + low on."""
-        if r1 <= max(r0, len(self.lead)):
-            return self.lead[r0:r1, c0:c1]
-        rows, w, start = r1 - r0, len(self.diags), min(r0 + self.low, c0)
-        width = max(r0 + self.low + rows + w - 1, c1) - start
-        blk = np.zeros((rows, width))
-        sheared = np.ndarray((rows, w), float, blk, 8 * (r0 + self.low - start), (8 * width + 8, 8))
-        sheared[...] = self.diags[:, r0:r1].T
-        blk[: max(len(self.lead) - r0, 0), c0 - start : c1 - start] = self.lead[r0:, c0:c1]
-        return blk[:, c0 - start : c1 - start]
-
-    def shifted(self, alpha, beta, gamma) -> _Band:
-        """M @ A, M the tridiagonal shift of the recurrence arrays, every
-        entry summed in _shift_apply's order: one more diagonal on either
-        side, and one more dense row under any dense rows."""
-        s, n = self.diags.shape[1], len(self.lead)
-        pad = np.vstack([np.zeros((2, s)), self.diags, np.zeros((2, s))])
-        # A[i, c], A[i-1, c] and A[i+1, c] are diagonals q-1, q and q-2 of
-        # rows i, i-1 and i+1, for c on diagonal q of the product's row i.
-        diags = beta[:s] * pad[1:-1]
-        diags[:, 1:] += alpha[: s - 1] * pad[2:, :-1]
-        diags[:, :-1] += gamma[1:s] * pad[:-2, 1:]
-        lead = _shift_apply(alpha, beta, gamma, self.block(0, min(n + 2, s), 0, s))[: n + 1] if n else self.lead
-        return _Band(diags, self.low - 1, lead)
-
-    def plus(self, c: float, other: _Band) -> _Band:
-        """A + c B, each entry B stores summed as a + c b.  Writes into A's
-        arrays when they already span B's diagonals and dense rows, so A must
-        be the caller's own, such as a Horner chain's running sum."""
-        s, low = self.diags.shape[1], min(self.low, other.low)
-        high = max([b.low + len(b.diags) for b in (self, other) if len(b.diags)], default=low)
-        n_lead, a = max(len(self.lead), len(other.lead)), self
-        if (low, high, n_lead) != (self.low, self.low + len(self.diags), len(self.lead)):
-            a = _Band(np.zeros((high - low, s)), low, self.block(0, n_lead, 0, s))
-            a.diags[self.low - low : self.low - low + len(self.diags)] = self.diags
-        a.diags[other.low - low : other.low - low + len(other.diags)] += c * other.diags
-        # B's dense rows in strips of 64, each from the first column B can be
-        # nonzero at in it: half the work on a dense triangle, in cache
-        for r in range(0, len(other.lead), 64):
-            j, r1 = max(0, r + other.low), min(r + 64, len(other.lead))
-            a.lead[r:r1, j:] += c * other.lead[r:r1, j:]
-        if len(other.lead) < n_lead:  # B's diagonals in A's dense rows
-            for o, d in enumerate(other.diags, other.low):
-                i = np.arange(max(len(other.lead), -o), min(n_lead, s - o))
-                a.lead[i, i + o] += c * d[i]
-        return a
-
-
-def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
-    """Product M @ t using only the tridiagonal coefficients of M."""
-    s = t.shape[0]
-    out = beta[:s, None] * t
-    out[1:] += alpha[: s - 1, None] * t[:-1]
-    out[:-1] += gamma[1:s, None] * t[1:]
-    return out
-
-
 def shift_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     """Tridiagonal matrix of multiplication by x: column j holds
     (gamma_j, beta_j, alpha_j) at rows j-1, j, j+1."""
@@ -159,7 +83,7 @@ def shift_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _shift_apply(*recurrence_arrays(basis, s), np.eye(s))
 
 
-def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, _Band]:
+def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, Section]:
     """{d: H^d} on an s-section for each requested order d >= 1, each a band
     whose every row is dense.  Column d-1 of t (w) holds column j (j-1) of
     H^d: O(r s) memory beyond the sections.  The sections are stored
@@ -179,7 +103,7 @@ def _derivative_table(alpha, beta, gamma, s: int, orders) -> dict[int, _Band]:
         np.divide(col, alpha[j], out=t[: j + 1])
         for d in orders:
             powers[d][: j + 1, j + 1] = t[: j + 1, d - 1]
-    return {d: _Band(np.zeros((0, s)), d, h) for d, h in powers.items()}
+    return {d: Section(np.zeros((0, s)), d, h) for d, h in powers.items()}
 
 
 def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
@@ -189,7 +113,7 @@ def derivative_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:
     return _derivative_table(*recurrence_arrays(basis, s + 1), s, (1,))[1].lead
 
 
-def _xd_powers(s: int, top: int) -> list[_Band]:
+def _xd_powers(s: int, top: int) -> list[Section]:
     """[x^k D^k for k = 0..top] on an s-section, each a band of its
     diagonals at offsets 0..k: the identity on any basis, and for k >= 1 on
     the Laguerre basis only.
@@ -201,13 +125,13 @@ def _xd_powers(s: int, top: int) -> list[_Band]:
     subdiagonal is zero: O(s k), with no matrix product.  The entries are
     integers: any order of operations is exact.
     """
-    i, bands = np.arange(float(s)), [_Band(np.ones((1, s)), 0, np.zeros((0, s)))]
+    i, bands = np.arange(float(s)), [Section(np.ones((1, s)), 0, np.zeros((0, s)))]
     for k in range(1, top + 1):
-        bands.append(_Band(bands[-1].shifted(np.zeros(s), i - (k - 1), -i).diags[1:], 0, bands[-1].lead))
+        bands.append(Section(bands[-1].shifted(np.zeros(s), i - (k - 1), -i).diags[1:], 0, bands[-1].lead))
     return bands
 
 
-def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> _Band:
+def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> Section:
     """Theta of a classical basis on an s-section, row 0 zero, as a band of
     its diagonals at offsets -1, 0, 1, in O(s); given a lower limit a, under
     the dense row 0 of the Volterra matrix.
@@ -231,13 +155,13 @@ def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -
     sup = np.append(0.0, np.cumsum(terms) / (j[:-1] * (j[:-1] + 2) * alpha[1:-1]))
     diags = np.array([np.append(0.0, sub[:-1]), diag, np.append(sup, 0.0)])
     if lower is None:
-        return _Band(diags, -1, np.zeros((0, s)))
+        return Section(diags, -1, np.zeros((0, s)))
     nu = eval_basis_derivs(basis, s, lower)[0].astype(np.float64)
     row0 = -((np.append(0.0, nu[:-2]) * np.append(0.0, sup) + nu[:-1] * diag) + nu[1:] * sub)
-    return _Band(diags, -1, row0[None])
+    return Section(diags, -1, row0[None])
 
 
-def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> _Band:
+def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> Section:
     """The integral matrix, with row 0 the Volterra row given a lower limit.
     A custom basis takes the back substitution on the derivative section at
     size s+1, so the entries the last column reads exist, and every row of
@@ -250,7 +174,7 @@ def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -
     mat = np.vstack([np.zeros(s), theta[:-1]])
     if lower is not None:
         mat[0] = -(eval_basis_derivs(basis, s, lower)[0, 1:].astype(np.float64) @ theta)
-    return _Band(np.zeros((0, s)), -1, mat)
+    return Section(np.zeros((0, s)), -1, mat)
 
 
 def integral_matrix(basis: RecurrenceBasis, s: int) -> np.ndarray:

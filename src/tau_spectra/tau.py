@@ -15,28 +15,29 @@ is how far the operator can raise coefficient indices, so the section holds
 every row the degree-n image can touch.  One recurrence pass builds every
 power H^k, and one Horner chain in M sums the terms: t <- M t + sum p_k A.
 
-Every term matrix is an opmatrix._Band: diagonals under optional dense
-leading rows, one diagonal of ones for the identity, every row dense for
-H^k.  On the Laguerre basis xD is upper bidiagonal, so a term whose p is
-divisible by x^k, p = x^k q, enters the chain as q(M) * (x^k D^k), a band of
-width k kept as its k + 1 diagonals, built by k products with xD less a
-multiple of I; the Bessel section is pentadiagonal and needs no H^k at all.
-Every other derivative term keeps H^k.  On a Jacobi or Laguerre basis the
-Volterra matrix is theta's three diagonals under its dense row 0, so p(M) V
-is banded below its first deg p + 1 rows.
+Every term matrix is a linalg.Section, the one matrix type from assembly to
+solve: diagonals under optional dense leading rows, one diagonal of ones
+for the identity, every row dense for H^k.  On the Laguerre basis xD is
+upper bidiagonal, so a term whose p is divisible by x^k, p = x^k q, enters
+the chain as q(M) * (x^k D^k), a band of width k kept as its k + 1
+diagonals, built by k products with xD less a multiple of I; the Bessel
+section is pentadiagonal and needs no H^k at all.  Every other derivative
+term keeps H^k.  On a Jacobi or Laguerre basis the Volterra matrix is
+theta's three diagonals under its dense row 0, so p(M) V is banded below
+its first deg p + 1 rows.
 
 Pi vanishes more than h rows below its diagonal, so the square Tau matrix
 has lower bandwidth m_c + h.  The Horner chain runs once, on bands: M is
 tridiagonal, so each product widens the band by a diagonal on either side
-and a dense row under any dense rows.  Assembly cuts the result into a
-Section, blocks of 64 rows each held over the columns its rows can reach, so
-a banded Pi is never one array.
+and a dense row under any dense rows.  Pi is the chain's band cut to n+1
+columns, so a banded Pi is never one array.
 
-Nor is the square Tau matrix built.  It is read from the condition rows and
-the section's blocks above row n+1-m_c; the almost-banded QR factors them,
-keeping dense rows such as the condition rows and a Volterra row 0 apart,
-the extended-precision refinement residual reads the same blocks, and the
-blocks below give the residual tail.  On a banded section a solve holds
+Nor is the Tau matrix an array: it is the same band with the condition
+rows added as dense rows on top.  The almost-banded QR reads its row spans
+and rectangles, keeping dense rows such as the condition rows and a
+Volterra row 0 apart; the extended-precision refinement residual is its
+banded product, and the section's rows below the Tau matrix give the
+residual tail by the same product.  On a banded section a solve holds
 O(n * (64 + bandwidth)) entries in all, Pi included.
 """
 
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RecurrenceBasis, clenshaw, eval_basis_derivs, recurrence_arrays
-from .linalg import cond_estimate_factored, qr_factor, qr_solve
-from .opmatrix import MAX_SECTION_SIZE, _Band, _derivative_table, _shift_apply, _volterra_band, _xd_powers
+from .linalg import Section, _shift_apply, cond_estimate_factored, qr_factor, qr_solve
+from .opmatrix import MAX_SECTION_SIZE, _derivative_table, _volterra_band, _xd_powers
 
 __all__ = [
     "NonFiniteSolutionError",
@@ -64,16 +65,12 @@ __all__ = [
     "TauSolution",
     "Diagnostics",
     "operator_height",
-    "Section",
     "assemble_pi",
     "project_rhs",
     "condition_row",
     "solve_tau",
     "solve_tau_system",
 ]
-
-_BLOCK = 64  # rows per block of a section and of the Tau matrix
-
 
 class NonFiniteSolutionError(ArithmeticError):
     """The solve produced NaN or infinite coefficients or condition estimate."""
@@ -221,34 +218,6 @@ class TauSolution:
         return clenshaw(self.basis, self.coeffs_extended, x)
 
 
-@dataclass(frozen=True, eq=False)
-class Section:
-    """An operator section of the given shape held as (rows, values, cols)
-    triples of slices and arrays: blocks of _BLOCK rows in row order, each
-    holding its rows over the columns cols, with zeros outside them.  From
-    assemble_pi, those are the columns its rows can reach: from the lowest
-    diagonal of its first row to the highest of its last, out to the last
-    column when it holds a dense row (one a Volterra row 0 reaches, or any
-    row of a section with a dense term matrix)."""
-
-    shape: tuple[int, int]
-    blocks: list
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for rows, vals, cols in self.blocks:
-            out[rows, cols] = vals
-        return out
-
-    @classmethod
-    def from_dense(cls, a) -> Section:
-        """The section held by a 2-d array: each block of _BLOCK rows a view
-        of a."""
-        a = np.asarray(a, dtype=np.float64)
-        rows = [slice(r0, min(r0 + _BLOCK, a.shape[0])) for r0 in range(0, a.shape[0], _BLOCK)]
-        return cls(a.shape, [(r, a[r], slice(0, a.shape[1])) for r in rows])
-
-
 def operator_height(terms) -> int:
     """How far the operator can raise coefficient indices, max(deg p - k):
     the section is built with n+1+h rows so no reachable row is lost."""
@@ -256,36 +225,30 @@ def operator_height(terms) -> int:
 
 
 def _poly_in_shift(recurrence, terms, shape: tuple[int, int]) -> Section:
-    """Sum of p(M) @ A over the (p, A) terms, each A an opmatrix._Band, with
+    """Sum of p(M) @ A over the (p, A) terms, each A a square Section, with
     M the shift of the recurrence arrays (alpha, beta, gamma), by one Horner
-    chain over bands: from the top degree down, t <- M t + sum of p_k A.
+    chain over bands: from the top degree down, t <- M t + sum of p_k A,
+    cut to the first shape[1] columns.
 
     M is tridiagonal, so each product widens t by a diagonal on either side
     and a dense row under any dense rows, and each sum spans both bands.
     Every entry is summed in the order of the chain over full arrays, so t
-    is its result bit for bit.  The section's blocks of _BLOCK rows are cut
-    from t at its own extents: row i from column i + low on, to its last
-    diagonal, or to the last column in a block holding a dense row.  shape
-    has at least as many rows as columns, and each A as many rows.
+    is its result bit for bit.  shape has at least as many rows as columns,
+    and each A as many rows.
     """
     rows, cols = shape
     top = max(p.shape[0] for p, _ in terms) - 1
     # zero: no diagonals, and low past the last column, so the first sum
     # takes the extents of its term
-    t = _Band(np.zeros((0, rows)), rows, np.zeros((0, rows)))
+    t = Section(np.zeros((0, rows)), rows, np.zeros((0, rows)))
     for k in range(top, -1, -1):
         if k < top:
             t = t.shifted(*recurrence)
         for p, a in terms:
             if k < p.shape[0]:
                 t = t.plus(p[k], a)
-    out = []
-    for i0 in range(0, rows, _BLOCK):
-        i1 = min(i0 + _BLOCK, rows)
-        j1 = cols if i0 < len(t.lead) else min(cols, i1 + t.low + len(t.diags) - 1)
-        j0 = min(max(0, i0 + t.low), j1)
-        out.append((slice(i0, i1), t.block(i0, i1, j0, j1), slice(j0, j1)))
-    return Section(shape, out)
+    j = np.arange(rows) + t.low + np.arange(len(t.diags))[:, None]
+    return Section(np.where(j < cols, t.diags, 0.0), t.low, t.lead[:, :cols])
 
 
 def _xd_order(basis: RecurrenceBasis, term: OperatorTerm) -> int:
@@ -349,7 +312,13 @@ def solve_tau(problem: TauProblem) -> TauSolution:
 def solve_tau_system(problem: TauProblem, section: Section) -> TauSolution:
     """Solve using a caller-supplied operator section (shape (n+1+h, n+1));
     lets alternative section builders reuse the row selection and solve.
-    Section.from_dense takes a section held as an array.
+    Section.from_dense takes an array; any section must pass Section.check.
+
+    The Tau matrix is one Section: the condition rows, rounded to float64,
+    as dense rows over the section's rows above n+1-m_c, whose diagonals
+    move down by m_c rows.  It holds the one scaled copy of the dense rows;
+    the section's rows from n+1-m_c on give the residual tail by one banded
+    product with the coefficients.
 
     Raises SingularMatrixError on an exactly singular system and
     NonFiniteSolutionError, before factoring, on a Tau system holding NaN or
@@ -361,22 +330,20 @@ def solve_tau_system(problem: TauProblem, section: Section) -> TauSolution:
     h = operator_height(problem.operator)
     if section.shape != (n + 1 + h, n + 1):
         raise ValueError(f"operator section shape {section.shape} != {(n + 1 + h, n + 1)}")
+    section.check()
     f_nu = project_rhs(problem.rhs, problem.basis, n + 1 + h)
     keep = n + 1 - m_c
     cond_rows = np.zeros((m_c, n + 1), dtype=np.longdouble)
     for i, cond in enumerate(problem.conditions):
         cond_rows[i] = condition_row(cond, problem.basis, n)
-    # The Tau matrix: the condition rows, then the section's rows above keep;
-    # the rows below are the tail.
-    blocks = [(slice(0, m_c), cond_rows.astype(np.float64), slice(0, n + 1))]
-    tail_blocks = []
-    for rows, vals, cols in section.blocks:
-        split = min(max(keep, rows.start), rows.stop)
-        if rows.start < split:
-            blocks.append((slice(m_c + rows.start, m_c + split), vals[: split - rows.start], cols))
-        if split < rows.stop:
-            tail_blocks.append((slice(split - keep, rows.stop - keep), vals[split - rows.start :], cols))
-    row_max = np.concatenate([np.max(np.abs(vals), axis=1) for _, vals, _ in blocks])
+    # dense condition row m_c - 1 needs t.low <= 1 - m_c: zero diagonals pad the band
+    low = min(section.low, 1)
+    diags = np.zeros((section.low - low + len(section.diags), n + 1))
+    diags[section.low - low :, m_c:] = section.diags[:, :keep]
+    t = Section(diags, low - m_c, np.vstack([cond_rows.astype(np.float64), section.lead[:keep]]))
+    d = len(t.lead)
+    lead_max = np.maximum(t.lead.max(axis=1), -t.lead.min(axis=1))  # no |lead| copy
+    row_max = np.concatenate([lead_max, np.max(np.abs(t.diags[:, d:]), axis=0, initial=0.0)])
     if not np.all(np.isfinite(row_max)):
         raise NonFiniteSolutionError("Tau system is not finite")
     # Scale each row by the power of two that brings its largest magnitude
@@ -384,58 +351,44 @@ def solve_tau_system(problem: TauProblem, section: Section) -> TauSolution:
     # rows (~1e13) from spoiling the factors the refinement contracts with.
     shift = 1 - np.frexp(row_max)[1]
     b = np.ldexp(np.concatenate([[cond.target for cond in problem.conditions], f_nu[:keep]]), shift)
-    blocks = [(rows, np.ldexp(vals, shift[rows, None]), cols) for rows, vals, cols in blocks]
-    col_sums = np.zeros(n + 1)
-    for _, vals, cols in blocks:
-        col_sums[cols] += np.sum(np.abs(vals), axis=0)
-    norm1 = float(np.max(col_sums))
-    factors = qr_factor(blocks, n + 1)
-    # the refinement residual reads the condition rows unrounded
-    blocks[0] = (blocks[0][0], np.ldexp(cond_rows, shift[:m_c, None]), blocks[0][2])
-    coeffs_ext = _refine(blocks, b, factors, qr_solve(factors, b))
+    np.ldexp(t.lead, shift[:d, None], out=t.lead)
+    np.ldexp(t.diags, shift, out=t.diags)
+    factors = qr_factor(t)
+    coeffs_ext = _refine(t, np.ldexp(cond_rows, shift[:m_c, None]), b, factors, qr_solve(factors, b))
     if not np.all(np.isfinite(coeffs_ext)):
         raise NonFiniteSolutionError("solution coefficients are not finite")
     coeffs = np.asarray(coeffs_ext, dtype=np.float64)
-    tail = -f_nu[keep:]
-    for rows, vals, cols in tail_blocks:
-        tail[rows] += vals @ coeffs[cols]
+    tail = Section(section.diags[:, keep:], section.low + keep, section.lead[keep:]).dot(coeffs) - f_nu[keep:]
     if not np.all(np.isfinite(tail)):
         raise NonFiniteSolutionError("residual tail is not finite")
-    cond_estimate = cond_estimate_factored(factors, norm1)
+    cond_estimate = cond_estimate_factored(factors, t.norm1())
     if not math.isfinite(cond_estimate):
         raise NonFiniteSolutionError("condition estimate is not finite")
     diags = Diagnostics(cond_estimate=cond_estimate, growth=factors.growth, height=h)
     return TauSolution(problem.basis, diags, coeffs_extended=coeffs_ext, residual_tail=tail)
 
 
-def _residual(blocks: list, b_ext: np.ndarray, a_ext: np.ndarray) -> np.ndarray:
-    """b - t a in extended precision from the (rows, values, cols) blocks
-    of the Tau matrix; a float64 block enters the product exactly, promoted
-    to long double.  The terms left out are exact zeros, so each entry
-    equals the full product's bit for bit."""
-    r = np.empty_like(b_ext)
-    for rows, t_blk, cols in blocks:
-        r[rows] = b_ext[rows] - t_blk @ a_ext[cols]
-    return r
-
-
-def _refine(blocks: list, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndarray:
+def _refine(t: Section, cond: np.ndarray, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndarray:
     """Iterative refinement with the residual taken in extended precision.
 
     The raw forward error of a Laguerre system is visible in the solution
     even though every row residual is tiny; a few corrected steps recover
     the accuracy, provided the float64 factors contract the error, which
-    unscaled Laguerre condition rows prevent.  blocks hold the row-scaled
-    system with its condition rows in extended precision, so the fixed
-    point satisfies the accurate functionals, not their float64 images.
-    Cheap (one banded matvec and one substitution per step) and a near
-    no-op for well-conditioned systems.
+    unscaled Laguerre condition rows prevent.  t is the row-scaled Tau
+    matrix and cond its first rows, the condition rows, scaled alike in
+    extended precision: the residual takes those rows from cond, so the
+    fixed point satisfies the accurate functionals, not their float64
+    images.  The rest is t's banded product, each row summed in column
+    order, so every entry equals the full product's bit for bit.  Cheap
+    (one banded product and one substitution per step) and a near no-op
+    for well-conditioned systems.
     """
     b_ext = b.astype(np.longdouble)
     a_ext = coeffs.astype(np.longdouble)
     last = math.inf
     for _ in range(6):
-        r = _residual(blocks, b_ext, a_ext)
+        r = b_ext - t.dot(a_ext)
+        r[: len(cond)] = b_ext[: len(cond)] - cond @ a_ext
         corr = qr_solve(factors, np.asarray(r, dtype=np.float64))
         step = float(np.max(np.abs(corr)))
         if not math.isfinite(step) or step == 0.0 or step >= last:
@@ -443,4 +396,3 @@ def _refine(blocks: list, b: np.ndarray, factors, coeffs: np.ndarray) -> np.ndar
         a_ext = a_ext + corr.astype(np.longdouble)
         last = step
     return a_ext
-

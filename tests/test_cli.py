@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -450,9 +451,9 @@ def test_solve_runs_without_scipy(tmp_path):
 
 def test_bessel_ladder_to_4000_within_100_mb(tmp_path):
     # The ladder runs in a fresh process so that its peak resident memory is
-    # its own: the section is held as 64-row blocks and the Tau matrix is
-    # never built, so the ladder to n = 4000 reads about 45 MB (170 MB with a
-    # dense section). tracemalloc cannot see resident huge pages; the kernel's
+    # its own: the section is held as its band and the Tau matrix is the
+    # same band, never an array, so the ladder to n = 4000 reads about 45 MB
+    # (170 MB with a dense section). tracemalloc cannot see resident huge pages; the kernel's
     # count can. The child reads VmHWM, the peak of its own address space:
     # its ru_maxrss would carry the test runner's peak across exec.
     fig = tmp_path / "fig"
@@ -572,6 +573,25 @@ def test_condition_demo_small_degree(tmp_path, capsys):
     assert main(["condition-demo", "-n", "20", "-o", str(out_path)]) == 0
     assert out_path.read_bytes() == out.encode()
     assert capsys.readouterr().out == ""
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_and_its_condition_demo_block_is_printed(capsys):
+    # The README is documentation that runs: its two python blocks execute in
+    # one namespace, and its printed condition-demo block is what the command
+    # prints, byte for byte.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert len(blocks) == 2, f"expected 2 python blocks, found {len(blocks)}"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    printed = re.search(r"^\$ tau-spectra condition-demo -n 100\n(.*?)^```$", text, re.S | re.M).group(1)
+    capsys.readouterr()
+    assert main(["condition-demo", "-n", "100"]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_condition_demo_rejects_tiny_n(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tau_spectra.linalg import (
+    Section,
     SingularMatrixError,
     cond_estimate_factored,
     qr_factor,
@@ -18,9 +19,8 @@ def _well_conditioned(rng, size):
 
 
 def _qr(a):
-    """qr_factor of a dense square matrix, held as one block."""
-    n = a.shape[0]
-    return qr_factor([(slice(0, n), a, slice(0, n))], n)
+    """qr_factor of a square matrix, every row held dense."""
+    return qr_factor(Section.from_dense(a))
 
 
 def test_shape_validation():

@@ -1,5 +1,6 @@
 """System assembly, the square Tau solve, and the perturbation tail."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tau_spectra import tau
+from tau_spectra import linalg, tau
 from tau_spectra.basis import (
     clenshaw,
     custom,
@@ -18,12 +19,10 @@ from tau_spectra.basis import (
     recurrence_arrays,
 )
 from tau_spectra.cli import airy_problem, bessel_problem
-from tau_spectra.linalg import SingularMatrixError
+from tau_spectra.linalg import Section, SingularMatrixError, _shift_apply
 from tau_spectra.opmatrix import (
     MAX_SECTION_SIZE,
-    _Band,
     _derivative_table,
-    _shift_apply,
     derivative_matrix,
     volterra_matrix,
 )
@@ -31,7 +30,6 @@ from tau_spectra.oracles import volterra_exact, volterra_forcing
 from tau_spectra.tau import (
     NonFiniteSolutionError,
     OperatorTerm,
-    Section,
     TauProblem,
     assemble_pi,
     condition_row,
@@ -86,6 +84,9 @@ def test_term_validation():
         OperatorTerm([1.0], -2)
     with pytest.raises(ValueError):
         OperatorTerm([1.0], -1, math.inf)
+    for array in (np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            Section.from_dense(array)
 
 
 def test_assemble_pi_first_order():
@@ -190,9 +191,9 @@ def _traced(fn, *args):
 
 
 def test_bessel_solve_holds_no_square_array():
-    # Pi is held as row blocks over the columns their rows reach, and the Tau
-    # matrix is read from them and factored by almost-banded QR: the whole
-    # solve allocates no (n+1)^2 array
+    # Pi is held as its band, and the Tau matrix is the same band under the
+    # condition rows, factored by almost-banded QR: the whole solve
+    # allocates no (n+1)^2 array
     n = 1000
     peak = _traced(solve_tau, bessel_problem(10, n))[1]
     assert peak <= 0.6 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
@@ -201,11 +202,11 @@ def test_bessel_solve_holds_no_square_array():
 def test_bessel_section_holds_its_band():
     n = 1000
     section = assemble_pi(bessel_problem(10, n))
-    assert sum(vals.size for _, vals, _ in section.blocks) <= 0.15 * (n + 1) ** 2
+    assert section.diags.size + section.lead.size <= 0.15 * (n + 1) ** 2
 
 
 # The table2 problem: the Volterra matrix is theta's three diagonals under
-# its dense row 0, so only the section's first row block spans every column.
+# its dense row 0, so only the section's first row is held over every column.
 # Measured 0.34 and 0.066 when these bounds were set; 1.62 and 0.52 with an
 # s x s Volterra matrix.
 def test_volterra_solve_holds_no_square_array():
@@ -217,7 +218,7 @@ def test_volterra_solve_holds_no_square_array():
 def test_volterra_section_holds_its_band_and_row_block_0():
     n = 2000
     section = assemble_pi(_volterra_problem(jacobi(1.0, -0.9), n))
-    assert sum(vals.size for _, vals, _ in section.blocks) <= 0.1 * (n + 1) ** 2
+    assert section.diags.size + section.lead.size <= 0.1 * (n + 1) ** 2
 
 
 @pytest.mark.parametrize(
@@ -549,8 +550,8 @@ BANDED_PROBLEMS = {
         degree=300,
     ),
     # The chain's band grows a diagonal on either side per product with M.
-    # Here p(M) V is dense in its first deg p + 1 = 64 rows, the first row
-    # block;
+    # Here p(M) V is dense in its first deg p + 1 = 64 rows, as many as a
+    # block of the QR has columns;
     "volterra-degree-63-jacobi(1,-0.9)-130": TauProblem(
         basis=jacobi(1.0, -0.9),
         operator=[identity_term([1.0]), volterra_term([(-1.0) ** k / (k + 1) for k in range(64)], lower=-1.0)],
@@ -558,7 +559,7 @@ BANDED_PROBLEMS = {
         rhs=[0.0],
         degree=130,
     ),
-    # here p(M) is 141 diagonals wide, more than two blocks;
+    # here p(M) is 141 diagonals wide, more than two blocks of the QR;
     "identity-degree-70-legendre-200": TauProblem(
         basis=LEG,
         operator=[identity_term([1.0 / (k + 1) for k in range(71)])],
@@ -604,18 +605,18 @@ def test_banded_assembly_equals_dense_chain_bitwise(problem):
 
 def test_chain_multiplies_by_m_once_per_degree(monkeypatch):
     # One Horner chain over the whole section: deg p = 3 products with M for
-    # the Volterra problem, whose section has five row blocks.
+    # the Volterra problem, whose section spans five blocks of the QR.
     problem = _volterra_problem(jacobi(1.0, -0.9), 300)
-    assert problem.degree + 1 + operator_height(problem.operator) > 4 * tau._BLOCK
+    assert problem.degree + 1 + operator_height(problem.operator) > 4 * linalg._BLOCK
     expected = _dense_pi(problem)
     calls = []
-    real = _Band.shifted
+    real = Section.shifted
 
     def spy(band, *recurrence):
         calls.append(band.diags.shape[1])
         return real(band, *recurrence)
 
-    monkeypatch.setattr(_Band, "shifted", spy)
+    monkeypatch.setattr(Section, "shifted", spy)
     assert assemble_pi(problem).to_dense().tobytes() == expected.tobytes()
     assert calls == [304] * 3
 
@@ -716,9 +717,9 @@ def _refine_arguments(problem, monkeypatch):
     seen = {}
     real = tau._refine
 
-    def spy(blocks, b, factors, coeffs):
-        seen.update(blocks=blocks, b=b, coeffs=coeffs)
-        seen["refined"] = real(blocks, b, factors, coeffs)
+    def spy(t, cond, b, factors, coeffs):
+        seen.update(t=t, cond=cond, b=b, coeffs=coeffs)
+        seen["refined"] = real(t, cond, b, factors, coeffs)
         return seen["refined"]
 
     monkeypatch.setattr(tau, "_refine", spy)
@@ -736,13 +737,11 @@ def _tau_matrix(problem) -> np.ndarray:
     return np.ldexp(t, 1 - np.frexp(np.max(np.abs(t), axis=1))[1][:, None])
 
 
-def _extended_system(blocks) -> np.ndarray:
-    """T with its extended condition rows, rebuilt exactly from the residual
-    blocks: they cover every nonzero, and the first holds the condition rows."""
-    n = blocks[0][1].shape[1]
-    t_ext = np.zeros((n, n), dtype=np.longdouble)
-    for rows, t_blk, cols in blocks:
-        t_ext[rows, cols] = t_blk
+def _extended_system(t, cond) -> np.ndarray:
+    """T with its extended condition rows: the matrix of the band the
+    refinement reads, its first rows replaced by the condition rows."""
+    t_ext = t.to_dense().astype(np.longdouble)
+    t_ext[: len(cond)] = cond
     return t_ext
 
 
@@ -766,29 +765,21 @@ RESIDUAL_PROBLEMS = {
 @pytest.mark.parametrize("problem, dense", RESIDUAL_PROBLEMS.values(), ids=RESIDUAL_PROBLEMS.keys())
 def test_banded_residual_equals_full_extended_product(problem, dense, monkeypatch):
     seen = _refine_arguments(problem, monkeypatch)
-    t, blocks = _tau_matrix(problem), seen["blocks"]
-    cond_rows = blocks[0][1]
-    t_ext = t.astype(np.longdouble)
-    t_ext[: cond_rows.shape[0]] = cond_rows
+    t, band, cond = _tau_matrix(problem), seen["t"], seen["cond"]
+    t_ext = _extended_system(band, cond)
     b_ext = seen["b"].astype(np.longdouble)
-    assert all(np.array_equal(t_blk, t[rows, cols]) for rows, t_blk, cols in blocks[1:])
-    for rows, _, cols in blocks[1:]:
-        assert not np.any(t[rows, : cols.start])
-        assert not np.any(t[rows, cols.stop :])
-    assert all(cols.start > 0 for _, _, cols in blocks[2:])
+    assert band.to_dense().tobytes() == t.tobytes()
     if dense is not None:
-        # each band block spans its rows plus both bandwidths, so all of
-        # them together stay within (n + 1) * (_BLOCK + lower + upper)
+        # the rows above the band held dense, and below them no diagonal
+        # past the bandwidths
         lower, upper = _bandwidths(t, dense)
-        band = [t_blk.shape for rows, t_blk, _ in blocks if rows.start >= dense]
-        assert all(width <= height + lower + upper for height, width in band)
-        dense_size = sum(t_blk.size for rows, t_blk, _ in blocks if rows.start < dense)
-        total = sum(t_blk.size for _, t_blk, _ in blocks)
-        assert total <= t.shape[0] * (tau._BLOCK + lower + upper) + dense_size
+        assert len(band.lead) == dense
+        assert len(band.diags) <= lower + upper + 1
     for a in (seen["coeffs"], seen["refined"]):
         a_ext = np.asarray(a, dtype=np.longdouble)
         full = b_ext - t_ext @ a_ext
-        banded = tau._residual(blocks, b_ext, a_ext)
+        banded = b_ext - band.dot(a_ext)
+        banded[: len(cond)] = b_ext[: len(cond)] - cond @ a_ext
         # equal values and signs: bit for bit, without the padding bytes
         assert np.array_equal(banded, full)
         assert np.array_equal(np.signbit(banded), np.signbit(full))
@@ -806,8 +797,8 @@ def test_tau_factor_keeps_only_the_dense_rows_apart(name, monkeypatch):
     seen = {}
     real = tau.qr_factor
 
-    def spy(blocks, n):
-        seen["factors"] = real(blocks, n)
+    def spy(a):
+        seen["factors"] = real(a)
         return seen["factors"]
 
     monkeypatch.setattr(tau, "qr_factor", spy)
@@ -816,7 +807,7 @@ def test_tau_factor_keeps_only_the_dense_rows_apart(name, monkeypatch):
     assert factors.dense.shape[0] == kept
     t = _tau_matrix(problem)
     lower, upper = _bandwidths(t, kept) if kept else (t.shape[0], t.shape[0])
-    assert max(blk.r.shape[1] for blk in factors.blocks) <= min(t.shape[0], tau._BLOCK + lower + upper)
+    assert max(blk.r.shape[1] for blk in factors.blocks) <= min(t.shape[0], linalg._BLOCK + lower + upper)
 
 
 def _discrete_forward_error(problem, monkeypatch):
@@ -827,7 +818,7 @@ def _discrete_forward_error(problem, monkeypatch):
     exactly; lu_solve at 50 digits stands in for the exact solution."""
     mpmath = pytest.importorskip("mpmath")
     seen = _refine_arguments(problem, monkeypatch)
-    t_ext = _extended_system(seen["blocks"])
+    t_ext = _extended_system(seen["t"], seen["cond"])
 
     def exact(values):
         return [mpmath.mpf(p) / q for p, q in map(np.longdouble.as_integer_ratio, values)]
@@ -862,8 +853,8 @@ def test_refined_solution_solves_its_discrete_system(problem, bound, monkeypatch
     assert _discrete_forward_error(problem, monkeypatch) <= bound
 
 
-# D^70 with 70 conditions at degree 140: keep = 71 splits rows 64..127, and
-# rows 71..140 of H^70 are zero, so the block of rows 128..140 is all zero.
+# D^70 with 70 conditions at degree 140: keep = 71, and rows 71..140 of
+# H^70 are zero, so every row of the residual tail is a zero row.
 HIGH_ORDER_PROBLEM = TauProblem(
     basis=laguerre(),
     operator=[derivative_term([1.0], 70)],
@@ -878,6 +869,11 @@ ROUTE_PROBLEMS = {
     "volterra-120": _volterra_problem(jacobi(1.0, -0.9), 120),
     "custom-airy-60": airy_problem(CUSTOM_LEG, 60, 1e-2),
     "zero-block-d70": HIGH_ORDER_PROBLEM,
+    # 70 dense condition rows: rows 64..69 of the Tau matrix are condition
+    # rows, nonzero from column 0, in a second strip of dense rows
+    "zero-block-d70-point-values": dataclasses.replace(
+        HIGH_ORDER_PROBLEM, conditions=[point_condition(0.01 * i, 1.0) for i in range(70)]
+    ),
 }
 
 
@@ -885,7 +881,6 @@ ROUTE_PROBLEMS = {
 def test_solve_from_assembled_blocks_equals_solve_from_dense_section(problem):
     section = assemble_pi(problem)
     from_dense = Section.from_dense(section.to_dense())
-    assert [rows for rows, _, _ in section.blocks] == [rows for rows, _, _ in from_dense.blocks]
     expected = solve_tau_system(problem, from_dense)
     solution = solve_tau(problem)
     # equal values and signs: bit for bit, without the long double padding
@@ -894,11 +889,32 @@ def test_solve_from_assembled_blocks_equals_solve_from_dense_section(problem):
     assert solution.diagnostics.cond_estimate == expected.diagnostics.cond_estimate
 
 
+def test_reversed_conditions_meet_the_same_zero_pivot_on_both_routes():
+    # the derivative conditions of HIGH_ORDER_PROBLEM in reverse order: in
+    # float64 the system is singular, at the same column on both routes
+    problem = dataclasses.replace(HIGH_ORDER_PROBLEM, conditions=HIGH_ORDER_PROBLEM.conditions[::-1])
+    section = assemble_pi(problem)
+    pivots = []
+    for route in (section, Section.from_dense(section.to_dense())):
+        with pytest.raises(SingularMatrixError) as raised:
+            solve_tau_system(problem, route)
+        pivots.append(raised.value.pivot_index)
+    assert pivots[0] == pivots[1]
+
+
+def test_solve_refuses_a_section_with_a_dense_row_left_of_its_band():
+    problem = ROUTE_PROBLEMS["airy-hk-200"]
+    section = assemble_pi(problem)
+    lead = section.lead.copy()
+    lead[100, 100 + section.low - 1] = 1.0
+    with pytest.raises(ValueError, match="nonzero left of column i \\+ low"):
+        solve_tau_system(problem, Section(section.diags, section.low, lead))
+
+
 def test_zero_block_problem_splits_a_block_and_holds_a_zero_one():
     section = assemble_pi(HIGH_ORDER_PROBLEM)
     keep = HIGH_ORDER_PROBLEM.degree + 1 - len(HIGH_ORDER_PROBLEM.conditions)
-    assert any(rows.start < keep < rows.stop for rows, _, _ in section.blocks)
-    assert not np.any(section.blocks[-1][1])
+    assert not np.any(section.to_dense()[keep:])
     assert np.all(np.isfinite(solve_tau(HIGH_ORDER_PROBLEM).residual_tail))
 
 
@@ -926,7 +942,7 @@ def test_non_finite_section_is_a_numerical_failure(value):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_system_fails_before_factoring(value, monkeypatch):
-    def no_factoring(blocks, n):
+    def no_factoring(a):
         raise AssertionError("qr_factor ran on a non-finite Tau system")
 
     monkeypatch.setattr(tau, "qr_factor", no_factoring)
