@@ -11,13 +11,14 @@ banded product and the 1-norm.
 The Tau system is factored by an almost-banded QR in the style of Olver &
 Townsend, "A fast and well-conditioned spectral method" (SIAM Rev. 55,
 2013): a few dense rows C over a band.  Per block of _BLOCK columns, one
-LAPACK Householder QR runs on the rows the block reaches, and its rotation
-is applied to those rows, each held as an explicit part up to a common end
+LAPACK Householder QR runs on the rows the block reaches and returns its
+orthogonal factor explicitly, a square array kept as the block's rotation.
+It rotates those rows, each held as an explicit part up to a common end
 column plus W @ C beyond it, so the fill the dense rows cause is never
-stored.  Solves of A x = b and A^T x = b run block by block: the rotation
-in compact WY form, one product for the explicit part of R, running sums of
-C x (or W^T x) for its fill, and the inverse of each triangular diagonal
-block of R, formed once per factorization.
+stored.  Solves of A x = b and A^T x = b run block by block: one product
+with the block's explicit orthogonal factor, one for the explicit part of
+R, running sums of C x (or W^T x) for its fill, and the inverse of each
+triangular diagonal block of R, formed once per factorization.
 
 The same factors feed a Hager-style 1-norm condition estimate.
 
@@ -95,11 +96,13 @@ class Section:
         shears them into columns i + low on."""
         if r1 <= max(r0, len(self.lead)):
             return self.lead[r0:r1, c0:c1]
-        rows, w, start = r1 - r0, len(self.diags), min(r0 + self.low, c0)
-        width = max(r0 + self.low + rows + w - 1, c1) - start
-        blk = np.zeros((rows, width))
-        sheared = np.ndarray((rows, w), float, blk, 8 * (r0 + self.low - start), (8 * width + 8, 8))
-        sheared[...] = self.diags[:, r0:r1].T
+        rows, w = r1 - r0, len(self.diags)
+        # the scratch spans the diagonals' reach as well, if there are any
+        start, stop = (min(r0 + self.low, c0), max(r0 + self.low + rows + w - 1, c1)) if w else (c0, c1)
+        blk = np.zeros((rows, stop - start))
+        if w:
+            sheared = np.ndarray((rows, w), float, blk, 8 * (r0 + self.low - start), (8 * (stop - start) + 8, 8))
+            sheared[...] = self.diags[:, r0:r1].T
         blk[: max(len(self.lead) - r0, 0), c0 - start : c1 - start] = self.lead[r0:, c0:c1]
         return blk[:, c0 - start : c1 - start]
 
@@ -216,19 +219,17 @@ def _rhs_copy(factors, b) -> np.ndarray:
 class _QRBlock(NamedTuple):
     """Column block c0..c1-1 of an almost-banded QR.
 
-    Its rotation acts on rows c0..reach-1 as Q = I - v y^T, v the Householder
-    vectors and y = v T^T (LAPACK's compact WY form, T upper triangular).
-    Rows c0..c1-1 of R are r on columns c0..end-1 and fill @ C beyond, C
-    the dense rows; r_inv is the inverse of r[:, :c1 - c0], the upper
-    triangular diagonal block.
+    Its rotation acts on rows c0..reach-1 as q, the square orthogonal factor
+    LAPACK forms from its Householder vectors.  Rows c0..c1-1 of R are r on
+    columns c0..end-1 and fill @ C beyond, C the dense rows; r_inv is the
+    inverse of r[:, :c1 - c0], the upper triangular diagonal block.
     """
 
     c0: int
     c1: int
     reach: int
     end: int
-    v: np.ndarray
-    y: np.ndarray
+    q: np.ndarray
     r: np.ndarray
     fill: np.ndarray
     r_inv: np.ndarray
@@ -252,12 +253,13 @@ def qr_factor(a: Section) -> QRFactors:
     The first d rows are kept as C, d the number that makes the factors
     smallest: on a Tau matrix its condition rows and any other dense rows
     above a band, and none (d = 0) above a dense upper triangle, which is
-    stored explicitly.  Each block of _BLOCK columns runs one np.linalg.qr
-    on the rows its columns reach, and that rotation is applied to those
-    rows' explicit columns and to their coefficients W: a rotated row is its
-    explicit part up to a common end column and W @ C beyond.  The explicit
-    part ends past the last nonzero of every row the block holds, so on a
-    banded matrix it spans _BLOCK plus both bandwidths.
+    stored explicitly.  Each block of _BLOCK columns runs one complete
+    np.linalg.qr on the rows its columns reach, and its orthogonal factor,
+    kept for the solves, rotates those rows' explicit columns and their
+    coefficients W in one product: a rotated row is its explicit part up to
+    a common end column and W @ C beyond.  The explicit part ends past the
+    last nonzero of every row the block holds, so on a banded matrix it
+    spans _BLOCK plus both bandwidths.
     """
     n = a.shape[0]
     if a.shape != (n, n):
@@ -290,25 +292,16 @@ def qr_factor(a: Section) -> QRFactors:
         work = np.vstack([np.hstack([work, coef @ dense[:, end:new_end]]), rows])
         coef = np.vstack([coef, np.arange(top, new_top)[:, None] == np.arange(d)])
         top, end = new_top, new_end
-        h, tau = np.linalg.qr(work[:, :k], mode="raw")
-        r = np.triu(h.T[:k])
+        q, r = np.linalg.qr(work[:, :k], mode="complete")
+        r = r[:k]
         zero = np.flatnonzero(np.diagonal(r) == 0.0)
         if zero.size:
             raise SingularMatrixError(c0 + int(zero[0]))
-        # T^{-1} = striu(V^T V) + diag(1 / tau) (Joffrain et al., ACM TOMS
-        # 32, 2006); tau = 0 marks an identity reflector, left out of V.
-        v = np.tril(h.T, -1)
-        v[range(k), range(k)] = 1.0
-        v[:, tau == 0.0] = 0.0
-        inv_t = np.triu(v.T @ v, 1)
-        inv_t[range(k), range(k)] = 1.0 / np.where(tau == 0.0, 1.0, tau)
-        y = v @ np.linalg.inv(inv_t).T
-        rest = np.hstack([work[:, k:], coef])
-        rest -= y @ (v.T @ rest)
+        rest = q.T @ np.hstack([work[:, k:], coef])
         width = end - c1
         # fill copied, so that no view keeps this block's rows of rest alive
         blk = _QRBlock(
-            c0, c1, top, end, v, y, np.hstack([r, rest[:k, :width]]), rest[:k, width:].copy(), np.linalg.inv(r)
+            c0, c1, top, end, q, np.hstack([r, rest[:k, :width]]), rest[:k, width:].copy(), np.linalg.inv(r)
         )
         fill = blk.fill @ dense[:, end:]
         maxr = max(maxr, float(np.max(np.abs(blk.r))), float(np.max(np.abs(fill), initial=0.0)))
@@ -322,8 +315,7 @@ def qr_solve(factors: QRFactors, b) -> np.ndarray:
     substitution, its fill taken through running sums of C x."""
     x = _rhs_copy(factors, b)
     for blk in factors.blocks:
-        rows = x[blk.c0 : blk.reach]
-        rows -= blk.y @ (blk.v.T @ rows)
+        x[blk.c0 : blk.reach] = blk.q.T @ x[blk.c0 : blk.reach]
     dense, start = factors.dense, factors.size
     tail = np.zeros(dense.shape[0])  # C[:, start:] @ x[start:]
     for blk in reversed(factors.blocks):
@@ -351,8 +343,7 @@ def qr_solve_transposed(factors: QRFactors, b) -> np.ndarray:
         start = blk.end
         pending += blk.fill.T @ z
     for blk in reversed(factors.blocks):
-        rows = x[blk.c0 : blk.reach]
-        rows -= blk.v @ (blk.y.T @ rows)
+        x[blk.c0 : blk.reach] = blk.q @ x[blk.c0 : blk.reach]
     return x
 
 

@@ -34,7 +34,7 @@ def _stored(factors):
     """Float entries the factors hold."""
     parts = [factors.dense]
     for blk in factors.blocks:
-        parts += [blk.v, blk.y, blk.r, blk.fill, blk.r_inv]
+        parts += [blk.q, blk.r, blk.fill, blk.r_inv]
     return sum(p.size for p in parts)
 
 
@@ -62,9 +62,9 @@ def test_almost_banded_qr_solves_like_lapack(n, dense, lower, upper, banded, see
         assert _backward_error(system, x, b) <= 100 * EPS
         cond = np.linalg.cond(system, np.inf)
         assert np.max(np.abs(x - ref)) <= 1000 * EPS * cond * np.max(np.abs(ref))
-    # Per block of _BLOCK rows: Householder vectors and their T-scaled copy
-    # on at most _BLOCK + lo rows, R's explicit part at most _BLOCK + lo + up
-    # wide, its inverted diagonal block, and d entries of W and of C.
+    # Per block of _BLOCK rows: the orthogonal factor, square on at most
+    # _BLOCK + lo rows, R's explicit part at most _BLOCK + lo + up wide, its
+    # inverted diagonal block, and d entries of W and of C.
     if FULL not in (lower, upper):
         assert _stored(factors) <= 4 * n * (_BLOCK + lo + up + dense)
     assert _stored(factors) <= 2 * n * (n + 2 * _BLOCK)

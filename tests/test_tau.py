@@ -199,6 +199,22 @@ def test_bessel_solve_holds_no_square_array():
     assert peak <= 0.6 * (n + 1) ** 2 * np.dtype(np.float64).itemsize
 
 
+def test_dense_top_degree_term_assembles_without_a_sheared_scratch():
+    # x^2 D^2 is dense on Legendre and the chain's top-degree term, so the
+    # first sum lays its rows over a section with no diagonals; a block of
+    # that section spans only the columns asked for.  Measured 4.01 when
+    # this bound was set, 5.00 with a scratch 2s - 1 columns wide.
+    n = 1000
+    problem = TauProblem(
+        basis=jacobi(0.0, 0.0),
+        operator=[derivative_term([0.0, 0.0, 1.0], 2), identity_term([1.0])],
+        conditions=[point_condition(-1.0, 1.0), point_condition(1.0, 0.0)],
+        rhs=[0.0],
+        degree=n,
+    )
+    assert _traced(assemble_pi, problem)[1] <= 4.5 * (n + 3) ** 2 * np.dtype(np.float64).itemsize
+
+
 def test_bessel_section_holds_its_band():
     n = 1000
     section = assemble_pi(bessel_problem(10, n))
