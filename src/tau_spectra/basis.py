@@ -182,10 +182,20 @@ def _sup_nu(basis: RecurrenceBasis, count: int, lo: float, hi: float) -> np.ndar
 
 
 def _head_budget(basis: RecurrenceBasis, coeffs: np.ndarray, recurrence, xs: np.ndarray):
-    """(tau, wc, wu, wg) such that float64 step k adds at most
-    wc[k] + wu[k]*s1 + wg[k]*s2 to the error of the sum at any point of xs,
-    where s1 and s2 are the largest |b_{k+1}| and |b_{k+2}| the steps before
-    it computed; or None where no closed-form bound on |nu_k| covers xs.
+    """(tau, keep, spent, wc, wu, wg): the sum keeps the terms k < keep,
+    which moves it by at most spent at any point of xs, and float64 step k
+    adds at most wc[k] + wu[k]*s1 + wg[k]*s2 to its error, where s1 and s2
+    are the largest |b_{k+1}| and |b_{k+2}| the steps before it computed; or
+    None where no closed-form bound on |nu_k| covers xs.
+
+    The terms from K on add at most S_K = sum_{k >= K} |c_k| B_k to the sum
+    at any point, with B_k >= sup |nu_k|.  keep is the smallest K with
+    S_K <= tau/2 (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM
+    TOMS 43, 2017), and spent = S_keep is charged to the same tau the head
+    spends, so the head gets what the chop leaves.  A nan S_K (an infinite
+    B_k times a zero c_k) or an infinite one fails that test, so no term at
+    or past an overflowing B_k is dropped; where no K passes, keep = n + 1
+    and spent = 0.
 
     Step k computes b_k = c_k + (x - beta_k)/alpha_k * b_{k+1}
     - (gamma_{k+1}/alpha_{k+1}) * b_{k+2}, and an error delta in b_k enters
@@ -194,7 +204,8 @@ def _head_budget(basis: RecurrenceBasis, coeffs: np.ndarray, recurrence, xs: np.
     gamma_5 * (|c_k| + U_k*s1 + G_k*s2), with U_k = max |x - beta_k| / |alpha_k|
     over xs and G_k = |gamma_{k+1}/alpha_{k+1}|; times B_k >= sup |nu_k| that
     is the step's share.  A relative 2^-50 per step covers the roundings of
-    U_k, G_k and of the running sum itself.  Underflow is not counted: its
+    U_k, G_k and of the running sum itself; the same factor, 2^-50 (n + 9),
+    rounds S_K up past its n + 3 roundings.  Underflow is not counted: its
     absolute errors, below 2^-1074 an operation, stay far under tau unless
     max|coeffs| is itself near the bottom of the float64 range.
     """
@@ -207,14 +218,19 @@ def _head_budget(basis: RecurrenceBasis, coeffs: np.ndarray, recurrence, xs: np.
     if sup is None or not math.isfinite(tau):
         return None
     alpha, beta, gamma = recurrence
-    # An infinite B_k makes its step's cost inf or nan, either of which ends
-    # the head.
+    up = 1.0 + 2.0**-50 * (n1 + 8)
+    # An infinite B_k makes its step's cost and every S_K from it down inf or
+    # nan, either of which ends the head and keeps the term.
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _GAMMA5 * (1.0 + 2.0**-50 * (n1 + 8)) * sup
+        mag = np.abs(coeffs).astype(np.float64)
+        w = _GAMMA5 * up * sup
         u = np.maximum(np.abs(hi - beta[:n1]), np.abs(lo - beta[:n1])) / np.abs(alpha[:n1])
         g = np.abs(gamma[1:] / alpha[1:])
-        wc = w * np.abs(coeffs).astype(np.float64)
-    return tau, wc.tolist(), (w * u).tolist(), (w * g).tolist()
+        wc = w * mag
+        tail = np.append(np.cumsum((mag * sup)[::-1])[::-1] * up, 0.0)
+    # S_K falls as K grows, so the K with S_K <= tau/2 are a run up to n1.
+    keep = n1 + 1 - int(np.count_nonzero(tail <= 0.5 * tau))
+    return tau, keep, float(tail[keep]), wc.tolist(), (w * u).tolist(), (w * g).tolist()
 
 
 def clenshaw(basis: RecurrenceBasis, coeffs, x):
@@ -226,49 +242,59 @@ def clenshaw(basis: RecurrenceBasis, coeffs, x):
     ~1e9 times the value, so float64 evaluation would only be good to ~1e-7
     absolute there.
 
-    The top of the recurrence, where the terms are still small, runs in
-    float64.  It hands b_{k+1} and b_{k+2} (exact in long double) to
-    np.longdouble at the first step where a first-order bound on the error of
-    its float64 steps would exceed tau = np.finfo(np.longdouble).eps *
-    max|coeffs|.  Each step's rounding reaches the sum multiplied by nu_k(x)
-    (Barrio, J. Comput. Appl. Math. 138, 2002), and the bound weights it by a
-    closed-form B_k >= sup |nu_k| over the points (Szego, Orthogonal
-    Polynomials, Thm 7.32.1 for Jacobi, (7.21.3) for Laguerre; see
-    _head_budget), so it costs one float64 reduction, max|b_k|, a step.  An
-    output value thus moves from the all-long-double sum by at most tau plus
-    the long-double rounding either sum carries, and one float64 rounding.
-    The switch depends on the extreme points, so a value can move by as much
-    with the other points summed alongside it.
-    Where no B_k is known every step runs in long double, bit for bit the
+    The terms from K on cannot move the sum by more than
+    S_K = sum_{k >= K} |coeffs[k]| B_k at any point, where B_k >= sup |nu_k|
+    over the points is a closed form (Szego, Orthogonal Polynomials,
+    Thm 7.32.1 for Jacobi, (7.21.3) for Laguerre; see _head_budget).  So the
+    recurrence drops them, starting at the smallest K with S_K <= tau/2, where
+    tau = np.finfo(np.longdouble).eps * max|coeffs| (Aurentz & Trefethen,
+    ACM TOMS 43, 2017).  The top of what remains, where the terms are still
+    small, runs in float64.  It hands b_{k+1} and b_{k+2} (exact in long
+    double) to np.longdouble at the first step where S_K plus a first-order
+    bound on the error of its float64 steps would exceed tau.  Each step's
+    rounding reaches the sum multiplied by nu_k(x) (Barrio, J. Comput. Appl.
+    Math. 138, 2002), and the bound weights it by the same B_k, so it costs
+    one float64 reduction, max|b_k|, a step.  The chop and the head thus
+    spend one tau between them: an output value moves from the all-long-double
+    sum by at most tau plus the long-double rounding either sum carries, and
+    one float64 rounding.  The chop and the switch depend on the extreme
+    points, so a value can move by as much with the other points summed
+    alongside it.  A series where no S_K reaches tau/2 keeps every term, and
+    where no B_k is known every step runs in long double, bit for bit the
     plain loop: custom bases, Jacobi with max(alpha, beta) < -1/2, points
     outside [-1, 1] (Jacobi) or below 0 (Laguerre), no points, or a point
     that is not finite.
     """
     xs = np.asarray(x, dtype=np.float64)
-    sums, _ = _clenshaw_steps(basis, coeffs, xs.reshape(-1))
+    sums, _, _ = _clenshaw_steps(basis, coeffs, xs.reshape(-1))
     vals = sums.astype(np.float64)
     if xs.ndim == 0:
         return float(vals[0])
     return vals.reshape(xs.shape)
 
 
-def _clenshaw_steps(basis: RecurrenceBasis, coeffs, xs: np.ndarray) -> tuple[np.ndarray, int]:
+def _clenshaw_steps(
+    basis: RecurrenceBasis, coeffs, xs: np.ndarray
+) -> tuple[np.ndarray, int, int]:
     """clenshaw at the flat float64 points xs: the sums in the precision of
-    the last step, and how many of the steps ran in long double."""
+    the last step, the index K the recurrence started at (b_K = b_{K+1} = 0,
+    so K = len(coeffs) where no term was dropped), and how many of the steps
+    ran in long double."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.longdouble)
     if coeffs.ndim != 1 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a non-empty 1-d array")
     n1 = coeffs.shape[0]
     recurrence = recurrence_arrays(basis, n1 + 1)
     budget = _head_budget(basis, coeffs, recurrence, xs)
+    keep = n1
     if budget is not None:
-        tau, wc, wu, wg = budget
+        tau, keep, spent, wc, wu, wg = budget
     work = np.longdouble if budget is None else np.float64
     extended = n1 if budget is None else 0
     c, alpha, beta, gamma, xw = (a.astype(work) for a in (coeffs, *recurrence, xs))
     b1 = b2 = np.zeros_like(xw)
-    spent = s1 = s2 = 0.0
-    for k in range(n1 - 1, -1, -1):
+    s1 = s2 = 0.0
+    for k in range(keep - 1, -1, -1):
         if work is np.float64:
             spent += wc[k] + wu[k] * s1 + wg[k] * s2
             if not spent <= tau:
@@ -282,7 +308,7 @@ def _clenshaw_steps(basis: RecurrenceBasis, coeffs, xs: np.ndarray) -> tuple[np.
         b1 = b
         if work is np.float64:
             s2, s1 = s1, float(np.abs(b).max())
-    return b1, extended
+    return b1, keep, extended
 
 
 def change_of_basis(basis: RecurrenceBasis, n: int) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Clenshaw summation with a float64 head: where the head hands over to long
-double, that the closed-form bounds on |nu_k| hold, that the sum stays
-within its error budget of a 50-digit sum, and that every basis or point set
-without a known bound takes the all-long-double loop bit for bit."""
+"""Clenshaw summation with a chopped tail and a float64 head: where the
+recurrence starts and where the head hands over to long double, that the
+closed-form bounds on |nu_k| hold, that the sum stays within its error budget
+of a 50-digit sum, and that every basis or point set without a known bound
+takes the all-long-double loop bit for bit."""
 
 import math
 
@@ -18,7 +19,14 @@ from tau_spectra.basis import (
     laguerre,
     recurrence_arrays,
 )
-from tau_spectra.cli import GRID_BESSEL, GRID_JACOBI, TABLE2_LOWER, bessel_problem, volterra_problem
+from tau_spectra.cli import (
+    GRID_BESSEL,
+    GRID_JACOBI,
+    TABLE2_LOWER,
+    TABLE2_PAIRS,
+    bessel_problem,
+    volterra_problem,
+)
 
 U64 = 2.0**-53
 EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -83,27 +91,49 @@ def test_unbounded_routes_run_the_long_double_loop_bitwise(basis, x):
     out = clenshaw(basis, coeffs, x)
     assert out.shape == x.shape
     assert np.array_equal(out, _longdouble_clenshaw(basis, coeffs, x), equal_nan=True)
-    assert _clenshaw_steps(basis, coeffs, x.reshape(-1))[1] == coeffs.shape[0]
+    _, start, extended = _clenshaw_steps(basis, coeffs, x.reshape(-1))
+    assert start == extended == coeffs.shape[0]
+
+
+def test_overflowing_bound_times_a_zero_coefficient_drops_no_term():
+    """On [0, 1500] the Laguerre B_k = e^750 overflows, and inf * 0 makes the
+    tail bound S_K nan: a nan must keep its terms, where reading it as small
+    would drop them all and sum to [0, 0, 0]."""
+    coeffs = np.array([1.0, 0.0, 2.0, 0.0])
+    xs = np.array([0.0, 1.0, 1500.0])
+    assert clenshaw(laguerre(), coeffs, xs).tolist() == [3.0, 0.0, 2244003.0]
+    assert _clenshaw_steps(laguerre(), coeffs, xs)[1:] == (4, 4)
 
 
 def test_bounded_route_still_takes_a_scalar():
     coeffs = _decaying(300, 32)
     value = clenshaw(jacobi(0.0, 0.0), coeffs, 0.3)
     assert isinstance(value, float)
-    assert _clenshaw_steps(jacobi(0.0, 0.0), coeffs, np.array([0.3]))[1] < 300
+    assert _clenshaw_steps(jacobi(0.0, 0.0), coeffs, np.array([0.3]))[2] < 300
     assert abs(value - _longdouble_clenshaw(jacobi(0.0, 0.0), coeffs, 0.3)) <= 4 * U64 * abs(value)
 
 
 def test_switch_lands_late_on_legendre_and_early_on_laguerre():
-    """table2's Legendre n = 1000 series runs all but about 60 of its 1001
-    steps in float64; on the Bessel grid [0, 60] B_k = e^30 stops the head
-    after about 44 of 2001."""
+    """table2's Legendre n = 1000 series runs all but about 60 of the steps
+    it keeps in float64; on the Bessel grid [0, 60] B_k = e^30 stops the head
+    after about 44 of 2001 and keeps every term."""
     grid = np.linspace(*GRID_JACOBI)
     legendre = solve_tau(volterra_problem(jacobi(0.0, 0.0), 1000, TABLE2_LOWER))
-    assert _clenshaw_steps(legendre.basis, legendre.coeffs_extended, grid)[1] < 100
+    assert _clenshaw_steps(legendre.basis, legendre.coeffs_extended, grid)[2] < 100
     bessel = solve_tau(bessel_problem(10, 2000))
     grid = np.linspace(*GRID_BESSEL)
-    assert _clenshaw_steps(bessel.basis, bessel.coeffs_extended, grid)[1] >= 1900
+    _, start, extended = _clenshaw_steps(bessel.basis, bessel.coeffs_extended, grid)
+    assert start == 2001
+    assert extended >= 1900
+
+
+@pytest.mark.parametrize("pair", TABLE2_PAIRS, ids=lambda p: f"jacobi{p}")
+def test_table2_series_at_n_1000_start_at_or_below_250(pair):
+    """The tail bound S_K drops the top of every table2 n = 1000 series: of
+    1001 terms they keep about 130 to 215."""
+    solution = solve_tau(volterra_problem(jacobi(*pair), 1000, TABLE2_LOWER))
+    grid = np.linspace(*GRID_JACOBI)
+    assert _clenshaw_steps(solution.basis, solution.coeffs_extended, grid)[1] <= 250
 
 
 def _forward_values(basis, count, xs):
@@ -117,6 +147,45 @@ def _forward_values(basis, count, xs):
         prev = nu[j - 1] if j else 0.0
         nu[j + 1] = ((x - beta[j]) * nu[j] - gamma[j] * prev) / alpha[j]
     return nu
+
+
+def _with_flat_tail(basis, head, xs, length, scale=1.0 - 2.0**-20):
+    """head followed by length coefficients of one size whose tail bound S_K,
+    rounded up as clenshaw rounds it, is scale * tau/2: just under it, the
+    chop drops them all and leaves the head only the other half of tau.
+    Their signs follow nu_k at the endpoint where B_k is reached (x = 60 on
+    Laguerre), so there they add up to nearly all of S_K."""
+    n1 = len(head) + length
+    sup = _sup_nu(basis, n1, float(xs.min()), float(xs.max()))[len(head) :]
+    size = 0.5 * EPS_LD * np.max(np.abs(head)) * scale
+    size /= (1.0 + 2.0**-50 * (n1 + 8)) * sup.sum()
+    end = -1.0 if basis.family == "jacobi" and basis.beta > basis.alpha else float(xs.max())
+    signs = np.sign(_forward_values(basis, n1, np.array([end]))[len(head) :, 0])
+    return np.concatenate((head, size * signs.astype(np.float64)))
+
+
+@pytest.mark.parametrize(
+    "basis", [jacobi(0.0, 0.0), jacobi(0.0, 3.0), laguerre()], ids=lambda b: b.label()
+)
+def test_chop_fires_just_under_half_tau_and_not_just_over(basis):
+    """A flat tail with S_K a relative 2^-20 under tau/2 is dropped whole; one
+    2^-20 over keeps its first term."""
+    xs = np.array([-1.0, 0.5, 1.0]) if basis.family == "jacobi" else np.array([0.0, 60.0])
+    head = np.array([1.0, -0.5, 0.25])
+    under = _with_flat_tail(basis, head, xs, 50, 1.0 - 2.0**-20)
+    over = _with_flat_tail(basis, head, xs, 50, 1.0 + 2.0**-20)
+    assert _clenshaw_steps(basis, under, xs)[1] == 3
+    assert _clenshaw_steps(basis, over, xs)[1] == 4
+
+
+def test_dropped_terms_are_charged_to_the_heads_budget():
+    """The dropped tail spends just under half of tau, so the float64 head
+    hands over to long double sooner than on the same terms without it."""
+    basis, xs = jacobi(0.0, 0.0), np.array([-1.0, 0.5, 1.0])
+    head = 0.5 ** np.arange(40.0)
+    _, start, extended = _clenshaw_steps(basis, _with_flat_tail(basis, head, xs, 50), xs)
+    assert start == 40
+    assert extended > _clenshaw_steps(basis, head, xs)[2]
 
 
 pytest.importorskip("hypothesis")
@@ -192,14 +261,14 @@ def _mp(value):
 
 
 def _assert_within_budget(basis, coeffs, xs):
-    """The float64 head spends at most tau = eps_ld max|c|: before its last
-    rounding to float64, the sum is within tau plus the rounding of the
-    steps left to long double of the exact sum; after it, within one more
-    float64 rounding."""
+    """The chop and the float64 head spend at most tau = eps_ld max|c|
+    between them: before its last rounding to float64, the sum is within tau
+    plus the rounding of the steps left to long double of the exact sum;
+    after it, within one more float64 rounding."""
     coeffs = np.asarray(coeffs, dtype=np.longdouble)
     with mpmath.workdps(50):
         exact = _mp_sum(basis, coeffs, xs)
-        sums, steps = _clenshaw_steps(basis, coeffs, xs)
+        sums, _, steps = _clenshaw_steps(basis, coeffs, xs)
         err = np.array([float(abs(_mp(v) - e)) for v, e in zip(sums.tolist(), exact)])
         tau = EPS_LD * float(np.max(np.abs(coeffs)))
         tol = tau + _long_double_rounding(basis, coeffs, xs, steps)
@@ -214,8 +283,15 @@ def _assert_within_budget(basis, coeffs, xs):
 # Two draws where sup |nu_k| is far above 1 on the points (x = 60 on
 # Laguerre, x = 1 on jacobi(10, 0)): with B_k taken as 1 the head runs too
 # long and these read 31 and 22 times their budget.
-@example("laguerre", 0.0, 0.0, 300, 0.5, 2)
-@example("jacobi", 10.0, 0.0, 300, 0.5, 1)
+@example("laguerre", 0.0, 0.0, 300, 0.5, 2, False)
+@example("jacobi", 10.0, 0.0, 300, 0.5, 1, False)
+# Chops at the edge of their half of tau: with B_k far above 1, with nu_k
+# alternating in sign at the bound's endpoint (jacobi(0, 3) at x = -1), with
+# a head that spends the other half in float64, and on Laguerre.
+@example("jacobi", 10.0, 0.0, 120, 0.9, 1, True)
+@example("jacobi", 3.0, 0.0, 3, 0.7, 2, True)
+@example("jacobi", 0.0, 0.0, 40, 0.5, 3, True)
+@example("laguerre", 0.0, 0.0, 200, 0.95, 3, True)
 @given(
     st.sampled_from(["jacobi", "laguerre"]),
     st.floats(-0.5, 12.0),
@@ -223,8 +299,9 @@ def _assert_within_budget(basis, coeffs, xs):
     st.integers(1, 300),
     st.floats(0.5, 0.99),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_sum_stays_within_its_error_budget(family, q, other, n, rate, seed):
+def test_sum_stays_within_its_error_budget(family, q, other, n, rate, seed, flat_tail):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, n) * rate ** np.arange(n)
     if family == "jacobi":
@@ -233,6 +310,9 @@ def test_sum_stays_within_its_error_budget(family, q, other, n, rate, seed):
     else:
         basis = laguerre()
         xs = np.concatenate(([0.0, 60.0], rng.uniform(0.0, 60.0, 14)))
+    if flat_tail:
+        coeffs = _with_flat_tail(basis, coeffs, xs, int(rng.integers(1, 200)))
+        assert _clenshaw_steps(basis, coeffs, xs)[1] <= n
     _assert_within_budget(basis, coeffs, xs)
 
 
