@@ -55,6 +55,11 @@ class SingularMatrixError(ArithmeticError):
         super().__init__(f"matrix is singular: zero pivot column at index {pivot_index}")
         self.pivot_index = pivot_index
 
+    def __reduce__(self):
+        # Rebuilt from pivot_index, not from args (the message), so that it
+        # survives the pickling that carries it out of a worker process.
+        return type(self), (self.pivot_index,)
+
 
 _BLOCK = 64  # columns per block of the QR, rows per strip of a Section's dense rows
 

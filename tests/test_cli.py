@@ -2,6 +2,7 @@
 
 import copy
 import json
+import multiprocessing
 import os
 import pathlib
 import re
@@ -456,16 +457,22 @@ def test_bessel_ladder_to_4000_within_100_mb(tmp_path):
     # (170 MB with a dense section). tracemalloc cannot see resident huge pages; the kernel's
     # count can. The child reads VmHWM, the peak of its own address space:
     # its ru_maxrss would carry the test runner's peak across exec.
+    # With two or more usable CPUs the solves run in worker processes; the
+    # child's RUSAGE_CHILDREN peak, its largest waited-for worker, holds them
+    # to the same bound.
     fig = tmp_path / "fig"
     code = (
-        "import sys; from tau_spectra.cli import main; "
+        "import resource, sys; from tau_spectra.cli import main; "
         f"rc = main(['bessel', '-m', '10', '--degrees', '100', '200', '2000', '4000', '-o', {str(fig)!r}]); "
         "print(*[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')]); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
         "sys.exit(rc)"
     )
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.splitlines()[-1]) <= 100 * 1024  # kB
+    own_kb, workers_kb = map(int, proc.stdout.splitlines()[-2:])
+    assert own_kb <= 100 * 1024
+    assert workers_kb <= 100 * 1024
     assert not any(b"FAIL" in path.read_bytes() for path in fig.iterdir())
     # A converged refinement reads about 9.4e-11 at n = 200; one that takes no
     # step 8.6e-6.
@@ -613,6 +620,53 @@ def test_bessel_emits_per_degree_csv(tmp_path):
         # normalized reference hits exactly 1 at x=60
         assert float(body[-1][2]) == 1.0
         assert abs(float(body[-1][1]) - 1.0) <= 1e-8
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or _usable_cpus() < 2,
+    reason="needs os.sched_setaffinity and two usable CPUs to compare the worker pool with the in-process path",
+)
+def test_ladders_are_byte_identical_in_workers_and_in_process(tmp_path):
+    # One child pinned to one CPU solves each ladder in process, the other
+    # in worker processes: their outputs must agree byte for byte.
+    outputs = []
+    for pin in (True, False):
+        out = tmp_path / ("pinned" if pin else "pooled")
+        code = (
+            "import os, sys; from tau_spectra.cli import main; "
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if pin else "")
+            + f"rc = main(['bessel', '-m', '10', '--degrees', '100', '200', '400', '-o', {str(out / 'fig')!r}]); "
+            + f"sys.exit(rc or main(['table2', '-o', {str(out / 'table2.csv')!r}]))"
+        )
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+        assert len(files) == 4
+        outputs.append((proc.stdout, files))
+    assert outputs[0] == outputs[1]
+
+
+def test_ladder_failure_leaves_only_the_degrees_below_it(tmp_path, monkeypatch, capsys):
+    # Worker processes are forked after the patch, so they inherit it.
+    solve = cli.solve_tau
+
+    def fail_at_200(problem):
+        if problem.degree == 200:
+            raise NonFiniteSolutionError("solution coefficients are not finite")
+        return solve(problem)
+
+    monkeypatch.setattr(cli, "solve_tau", fail_at_200)
+    fig = tmp_path / "fig"
+    assert main(["bessel", "-m", "10", "--degrees", "100", "200", "400", "-o", str(fig)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "tau-spectra: numerical failure: solution coefficients are not finite\n"
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["n=100"]
+    assert os.listdir(fig) == ["bessel_m10_n100.csv"]
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_uses_seventeen_significant_digits(tmp_path):

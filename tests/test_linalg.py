@@ -1,6 +1,8 @@
 """Almost-banded QR: growth, singular columns, condition estimate; back
 substitution."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ def test_triangular_solves():
     with pytest.raises(SingularMatrixError) as err:
         solve_upper_triangular(u_mat, b)
     assert err.value.pivot_index == 9
+
+
+def test_singular_matrix_error_survives_pickling():
+    # A worker process's failure reaches the parent pickled.
+    err = pickle.loads(pickle.dumps(SingularMatrixError(7)))
+    assert type(err) is SingularMatrixError
+    assert err.pivot_index == 7
+    assert str(err) == "matrix is singular: zero pivot column at index 7"
 
 
 def test_triangular_solve_matrix_rhs():
