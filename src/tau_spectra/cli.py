@@ -13,7 +13,8 @@ too deeply to read, unusable values, NaN/Infinity literals or numbers
 overflowing to infinity in a config, sizes past their bounds, bad
 command-line values); 3 ``numerical failure`` for a singular or non-finite
 Tau system, non-finite coefficients, residual tail or output values, or
-overflow; 4 ``I/O error``.  Commands run with numpy
+overflow; 4 ``I/O error``.  A status line over STATUS_MAX characters keeps
+its head and tail and elides the middle.  Commands run with numpy
 floating-point warnings off, so the finiteness checks decide and no warning
 precedes the status line.  No input ends in a traceback, and no NaN or
 infinity is written with exit 0.
@@ -249,8 +250,17 @@ def _validate_config(cfg) -> None:
         raise ConfigError(best[1])
 
 
+# Longest status line, in characters.  A schema message quotes the offending
+# value whole, so a long list in a config would make a line of megabytes.
+STATUS_MAX = 1000
+
+
 def _status(msg: str) -> None:
-    print(f"tau-spectra: {msg}", file=sys.stderr)
+    line = f"tau-spectra: {msg}"
+    if len(line) > STATUS_MAX:
+        keep = (STATUS_MAX - 5) // 2  # characters on either side of " ... "
+        line = f"{line[:keep]} ... {line[-keep:]}"
+    print(line, file=sys.stderr)
 
 
 def _fmt(value: float) -> str:

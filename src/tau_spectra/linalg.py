@@ -22,10 +22,9 @@ triangular diagonal block of R, formed once per factorization.
 
 The same factors feed a Hager-style 1-norm condition estimate.
 
-solve_upper_triangular is per-row back substitution.  It serves the
-integral matrices of custom bases and the change-of-basis comparison route,
-whose low-degree agreement test sits within roundoff of its bound, so it
-keeps that exact rounding.
+Only Section and SingularMatrixError are exported: the QR and the estimate
+serve tau's solve, which passes them a square Tau matrix and a
+right-hand side of its size.
 """
 
 from __future__ import annotations
@@ -35,16 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "SingularMatrixError",
-    "Section",
-    "QRFactors",
-    "qr_factor",
-    "qr_solve",
-    "qr_solve_transposed",
-    "solve_upper_triangular",
-    "cond_estimate_factored",
-]
+__all__ = ["SingularMatrixError", "Section"]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -214,13 +204,6 @@ def _shift_apply(alpha, beta, gamma, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rhs_copy(factors, b) -> np.ndarray:
-    x = np.array(b, dtype=np.float64, copy=True)
-    if x.shape != (factors.size,):
-        raise ValueError(f"rhs shape {x.shape} does not match size {factors.size}")
-    return x
-
-
 class _QRBlock(NamedTuple):
     """Column block c0..c1-1 of an almost-banded QR.
 
@@ -267,8 +250,6 @@ def qr_factor(a: Section) -> QRFactors:
     spans _BLOCK plus both bandwidths.
     """
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     first, last = a.spans()
     # d minimizes the entries the factors hold per block of rows: an explicit
     # part at most _BLOCK + u_d columns wide (u_d the upper bandwidth of the
@@ -318,7 +299,7 @@ def qr_factor(a: Section) -> QRFactors:
 def qr_solve(factors: QRFactors, b) -> np.ndarray:
     """Solve A x = b from its QR: Q^T block by block, then R by back
     substitution, its fill taken through running sums of C x."""
-    x = _rhs_copy(factors, b)
+    x = np.array(b, dtype=np.float64)
     for blk in factors.blocks:
         x[blk.c0 : blk.reach] = blk.q.T @ x[blk.c0 : blk.reach]
     dense, start = factors.dense, factors.size
@@ -334,7 +315,7 @@ def qr_solve(factors: QRFactors, b) -> np.ndarray:
 def qr_solve_transposed(factors: QRFactors, b) -> np.ndarray:
     """Solve A^T x = b from the QR of A: R^T by forward substitution, its
     fill taken through running sums of W^T x, then Q block by block."""
-    x = _rhs_copy(factors, b)
+    x = np.array(b, dtype=np.float64)
     dense, start = factors.dense, 0
     # sum of fill^T x over the blocks solved; x[:start] has it subtracted
     pending = np.zeros(dense.shape[0])
@@ -350,27 +331,6 @@ def qr_solve_transposed(factors: QRFactors, b) -> np.ndarray:
     for blk in reversed(factors.blocks):
         x[blk.c0 : blk.reach] = blk.q @ x[blk.c0 : blk.reach]
     return x
-
-
-def solve_upper_triangular(u, b) -> np.ndarray:
-    """Back substitution; b may be a vector or a matrix of columns."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {u.shape}")
-    x = np.array(b, dtype=np.float64, copy=True)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    if x.shape[0] != u.shape[0]:
-        raise ValueError("dimension mismatch in triangular solve")
-    for i in range(u.shape[0] - 1, -1, -1):
-        if i < u.shape[0] - 1:
-            x[i] -= u[i, i + 1 :] @ x[i + 1 :]
-        d = u[i, i]
-        if d == 0.0:
-            raise SingularMatrixError(i)
-        x[i] /= d
-    return x[:, 0] if vec else x
 
 
 def cond_estimate_factored(factors: QRFactors, norm1: float) -> float:
@@ -399,8 +359,5 @@ def cond_estimate_factored(factors: QRFactors, norm1: float) -> float:
         i = np.arange(n)
         y = qr_solve(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
         est = max(est, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
-    est *= norm1
-    if not np.isfinite(est):
-        return float("inf")
-    return est
+    return est * norm1
 

@@ -32,8 +32,8 @@ which for these bases is a three-term sum per column, so one O(s) builder
 (_integral_band) gives theta's diagonals under that row.
 Custom bases, the monomials among them, need not obey the structure
 relation: their theta[1:] solves eta[:s, 1:] @ theta[1:] = I by the back
-substitution similarity_pi uses (linalg.solve_upper_triangular), in O(s^3),
-and their Volterra row 0 is that product.
+substitution similarity_pi uses (solve_upper_triangular), in O(s^3), and
+their Volterra row 0 is that product.
 
 The builders of the term matrices tau assembles from return the package's
 one matrix type, linalg.Section: a row-indexed array of diagonals under
@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import RecurrenceBasis, eval_basis_derivs, recurrence_arrays
-from .linalg import Section, _shift_apply, solve_upper_triangular
+from .linalg import Section, SingularMatrixError, _shift_apply
 
 __all__ = [
     "shift_matrix",
@@ -159,6 +159,25 @@ def _integral_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -
     nu = eval_basis_derivs(basis, s, lower)[0].astype(np.float64)
     row0 = -((np.append(0.0, nu[:-2]) * np.append(0.0, sup) + nu[:-1] * diag) + nu[1:] * sub)
     return Section(diags, -1, row0[None])
+
+
+def solve_upper_triangular(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Back substitution, row by row, for the columns of b.  Raises
+    SingularMatrixError at the last zero diagonal entry of u.
+
+    It serves the integral matrices of custom bases and the change-of-basis
+    comparison route, whose low-degree agreement test sits within roundoff
+    of its bound, so it keeps that exact rounding.
+    """
+    x = np.array(b, dtype=np.float64)
+    for i in range(u.shape[0] - 1, -1, -1):
+        if i < u.shape[0] - 1:
+            x[i] -= u[i, i + 1 :] @ x[i + 1 :]
+        d = u[i, i]
+        if d == 0.0:
+            raise SingularMatrixError(i)
+        x[i] /= d
+    return x
 
 
 def _volterra_band(basis: RecurrenceBasis, s: int, lower: float | None = None) -> Section:

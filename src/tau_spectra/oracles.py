@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "bessel_j",
-    "bessel_j_series",
     "volterra_exact",
     "volterra_forcing",
     "airy_bvp_reference",
@@ -95,10 +94,8 @@ def bessel_j(m: int, x):
 
 
 def bessel_j_series(m: int, x: float) -> float:
-    """Ascending series for J_m; accurate for small arguments, used as the
-    independent cross-check of bessel_j."""
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
+    """Ascending series for J_m, m >= 0 (bessel_j checks it); accurate for
+    small arguments, used as the independent cross-check of bessel_j."""
     x = float(x)
     half = 0.5 * x
     term = 1.0

@@ -64,10 +64,7 @@ __all__ = [
     "TauProblem",
     "TauSolution",
     "Diagnostics",
-    "operator_height",
     "assemble_pi",
-    "project_rhs",
-    "condition_row",
     "solve_tau",
     "solve_tau_system",
 ]
@@ -280,12 +277,11 @@ def assemble_pi(problem: TauProblem) -> Section:
 
 def project_rhs(coeff, basis: RecurrenceBasis, length: int) -> np.ndarray:
     """nu-coefficients of the polynomial with monomial coefficients coeff,
-    padded with zeros to the requested length: p(M) e_0 by Horner in the
-    shift, since nu_0 = 1 and e_0 is the identity's first column."""
+    padded with zeros to length, at least deg p + 1 (TauProblem checks the
+    rhs): p(M) e_0 by Horner in the shift, since nu_0 = 1 and e_0 is the
+    identity's first column."""
     c = _trim_poly(coeff)
     d = c.shape[0] - 1
-    if d + 1 > length:
-        raise ValueError(f"polynomial degree {d} does not fit in length {length}")
     recurrence = recurrence_arrays(basis, d + 1)
     t = np.zeros((d + 1, 1))
     for k in range(d, -1, -1):

@@ -29,7 +29,6 @@ from tau_spectra import (
     jacobi,
     laguerre,
     monomial,
-    operator_height,
     point_condition,
     Section,
     shift_matrix,
@@ -55,6 +54,7 @@ from tau_spectra.cli import (
     read_grid_values,
     volterra_problem,
 )
+from tau_spectra.tau import operator_height
 from monomial_oracle import exact_monomial_rows, power_oracle_column
 
 BASES = [jacobi(0.0, 0.0), jacobi(-0.5, -0.5), jacobi(1.0, -0.9), jacobi(10.0, 0.0), laguerre()]

@@ -206,6 +206,23 @@ def test_schema_violation_reports_what_validate_raises(tmp_path, capsys, cfg):
     assert capsys.readouterr().err == f"tau-spectra: config error: {raised.value.message}\n"
 
 
+def test_long_schema_message_is_elided_to_one_bounded_line(tmp_path, capsys):
+    # jsonschema quotes the offending value whole: over a megabyte here.
+    cfg = {**BASE_CONFIG, "degree": [0.1 * k for k in range(100_000)]}
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        jsonschema.validate(cfg, cli.CONFIG_SCHEMA)
+    line = f"tau-spectra: config error: {raised.value.message}"
+    assert len(line) > 500_000
+    assert main(["solve", _write_config(tmp_path, cfg), "-o", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert len(err) - 1 <= cli.STATUS_MAX == 1000
+    # the head and tail of the message around one elision mark
+    head, tail = err[:-1].split(" ... ")
+    assert line.startswith(head) and line.endswith(tail) and len(head) == len(tail) == 497
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _schema_keywords(schema):
     """Every keyword used anywhere in a schema, with its values."""
     for key, rule in schema.items():

@@ -6,14 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from tau_spectra.linalg import (
-    Section,
-    SingularMatrixError,
-    cond_estimate_factored,
-    qr_factor,
-    qr_solve,
-    solve_upper_triangular,
-)
+from tau_spectra.linalg import Section, SingularMatrixError, cond_estimate_factored, qr_factor
+from tau_spectra.opmatrix import solve_upper_triangular
 
 
 def _well_conditioned(rng, size):
@@ -23,14 +17,6 @@ def _well_conditioned(rng, size):
 def _qr(a):
     """qr_factor of a square matrix, every row held dense."""
     return qr_factor(Section.from_dense(a))
-
-
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        solve_upper_triangular(np.ones((2, 3)), np.ones(2))
-    factors = _qr(np.eye(3))
-    with pytest.raises(ValueError):
-        qr_solve(factors, np.ones(4))
 
 
 @pytest.mark.parametrize("column", [0, 70, 149])
@@ -78,7 +64,7 @@ def test_triangular_solves():
     rng = np.random.default_rng(36)
     size = 15
     u_mat = np.triu(rng.standard_normal((size, size))) + size * np.eye(size)
-    b = rng.standard_normal(size)
+    b = rng.standard_normal((size, 1))
     x = solve_upper_triangular(u_mat, b)
     assert np.max(np.abs(u_mat @ x - b)) <= 1e-10
     # back substitution meets the last zero diagonal entry first

@@ -285,8 +285,6 @@ def test_project_rhs_examples():
     assert np.allclose(out, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
     out = project_rhs([0.0, 0.0, 1.0], LEG, 4)
     assert np.allclose(out, [1 / 3, 0.0, 2 / 3, 0.0], rtol=1e-14, atol=1e-15)
-    with pytest.raises(ValueError):
-        project_rhs([0.0, 0.0, 1.0], LEG, 2)
 
 
 def test_condition_row_examples():
