@@ -22,13 +22,16 @@ infinity is written with exit 0.
 The ladder commands (``table1``, ``table2``, ``bessel``) solve their
 independent degrees in worker processes forked from this one, one per usable
 CPU (CPU affinity is respected), with output byte-identical to a run in one
-process; ``taskset -c 0`` gives that in-process path.
+process; ``taskset -c 0`` gives that in-process path.  A forked worker
+inherits ``main``'s np.errstate.  Every degree is solved before the first
+line is printed or written, and a failing degree does not cancel the
+degrees still queued; outputs, their order and exit codes are those of a
+run that solves, prints and fails degree by degree in ascending order.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import importlib.resources
@@ -468,23 +471,27 @@ TABLES = {
 }
 
 
-def _quietly(worker, task):
-    """worker(task) with numpy floating-point warnings off, as in ``main``."""
-    with np.errstate(all="ignore"):
-        return worker(task)
+def _solve_on_grid(task: tuple[int, TauProblem, np.ndarray]):
+    """The solution of a (degree, problem, grid) task on its grid, or the
+    ArithmeticError or ValueError its solve raised, without its traceback,
+    which would keep the solve's matrices alive."""
+    _, problem, grid = task
+    try:
+        return solve_tau(problem)(grid)
+    except (ArithmeticError, ValueError) as exc:
+        return exc.with_traceback(None)
 
 
-@contextlib.contextmanager
-def _ladder(worker, tasks: list[tuple]):
-    """Yield an iterator over worker(task) for each task, in task order;
-    each task is a tuple led by its degree.
+def _ladder(tasks: list[tuple]) -> list:
+    """_solve_on_grid(task) for each (degree, problem, grid) task, as a list
+    in task order: every task is solved before it returns, and a failing
+    task does not cancel the others.
 
     With two or more usable CPUs (the process's CPU affinity) and two or
     more tasks, the tasks run in worker processes forked from this one, one
-    per usable CPU, submitted highest degree first; leaving the block cancels
-    the tasks not yet started and waits for the workers to exit.  Otherwise,
-    or where fork is unavailable, they run here one after another.  A task
-    computes the same floats either way."""
+    per usable CPU, submitted highest degree first; a forked worker inherits
+    ``main``'s np.errstate.  Otherwise, or where fork is unavailable, they
+    run here one after another.  A task computes the same floats either way."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(len(tasks), cpus)
     if workers > 1:
@@ -496,34 +503,21 @@ def _ladder(worker, tasks: list[tuple]):
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
                 heaviest_first = sorted(range(len(tasks)), key=lambda i: tasks[i][0], reverse=True)
-                futures = {i: pool.submit(_quietly, worker, tasks[i]) for i in heaviest_first}
-                yield (futures[i].result() for i in range(len(tasks)))
+                futures = {i: pool.submit(_solve_on_grid, tasks[i]) for i in heaviest_first}
+                return [futures[i].result() for i in range(len(tasks))]
             finally:
                 pool.shutdown(cancel_futures=True)
-            return
-    yield map(worker, tasks)
-
-
-def _table_cell(task: tuple) -> float | None:
-    """max|y_n - exact| over GRID_JACOBI for one table cell, None where the
-    solve fails.  The problem is looked up in TABLES by the table's name:
-    its builder is a lambda, which cannot be sent to a worker process."""
-    n, which, alpha, beta, refs = task
-    try:
-        ys = solve_tau(TABLES[which][2](jacobi(alpha, beta), n))(_grid(GRID_JACOBI))
-    except (ArithmeticError, ValueError):
-        return None
-    return float(np.max(np.abs(ys - refs)))
+    return [_solve_on_grid(task) for task in tasks]
 
 
 def cmd_table(args: argparse.Namespace) -> None:
     """Write the table's error grid: one row per (alpha, beta) pair, each
     cell max|y_n - exact| over GRID_JACOBI, FAIL where the solve fails."""
-    pairs, degrees, _, reference = TABLES[args.which]
-    refs = reference(_grid(GRID_JACOBI))
-    tasks = [(n, args.which, al, be, refs) for al, be in pairs for n in degrees]
-    with _ladder(_table_cell, tasks) as errors:
-        cells = ["FAIL" if err is None else _fmt(err) for err in errors]
+    pairs, degrees, problem, reference = TABLES[args.which]
+    grid = _grid(GRID_JACOBI)
+    refs = reference(grid)
+    tasks = [(n, problem(jacobi(al, be), n), grid) for al, be in pairs for n in degrees]
+    cells = ["FAIL" if isinstance(ys, Exception) else _fmt(float(np.max(np.abs(ys - refs)))) for ys in _ladder(tasks)]
     k = len(degrees)
     rows = [",".join(["alpha", "beta"] + [f"n={n}" for n in degrees])]
     for i, (al, be) in enumerate(pairs):
@@ -531,29 +525,25 @@ def cmd_table(args: argparse.Namespace) -> None:
     _write_lines(args.output, rows)
 
 
-def _bessel_ys(task: tuple[int, TauProblem]) -> np.ndarray:
-    """The solution of a Bessel problem on GRID_BESSEL."""
-    return solve_tau(task[1])(_grid(GRID_BESSEL))
-
-
 def cmd_bessel(args: argparse.Namespace) -> None:
     degrees = list(args.degrees)
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ConfigError("degrees must be strictly ascending")
-    tasks = [(n, bessel_problem(args.m, n)) for n in degrees]
     grid = _grid(GRID_BESSEL)
+    tasks = [(n, bessel_problem(args.m, n), grid) for n in degrees]
     scale = bessel_j(args.m, 60.0)
     if scale == 0.0:
         raise ConfigError("J_m(60) vanishes, normalization impossible")
     refs = bessel_j(args.m, grid) / scale
     os.makedirs(args.output, exist_ok=True)
 
-    with _ladder(_bessel_ys, tasks) as solutions:
-        for n, ys in zip(degrees, solutions):
-            errs = np.abs(ys - refs)
-            print(f"n={n}: sup error {_fmt(float(np.max(errs)))}, boundary value {_fmt(float(ys[-1]))}")
-            path = os.path.join(args.output, f"bessel_m{args.m}_n{n}.csv")
-            _write_csv(path, ["x", "y_n", "reference", "error"], [grid, ys, refs, errs])
+    for n, ys in zip(degrees, _ladder(tasks)):
+        if isinstance(ys, Exception):
+            raise ys
+        errs = np.abs(ys - refs)
+        print(f"n={n}: sup error {_fmt(float(np.max(errs)))}, boundary value {_fmt(float(ys[-1]))}")
+        path = os.path.join(args.output, f"bessel_m{args.m}_n{n}.csv")
+        _write_csv(path, ["x", "y_n", "reference", "error"], [grid, ys, refs, errs])
 
 
 def _parse_basis_spec(spec: str) -> RecurrenceBasis:

@@ -3,10 +3,12 @@
 Every matrix between assembly and solve is one type, Section: a matrix held
 as its diagonals under its dense leading rows.  The term matrices, the
 Horner chain that sums them into the operator section Pi, Pi itself and the
-square Tau matrix are all Sections, and the QR, the refinement residual,
-the residual tail and the condition estimate read them through its
-methods: the first and last nonzero column of each row, any rectangle, a
-banded product and the 1-norm.
+square Tau matrix are all Sections, and the QR, the refinement residual
+and the residual tail read them through its methods: any rectangle, a
+banded product, and one walk over its rows that gives the first and last
+nonzero column of each row, max|A| and the column sums of |A|.  The QR
+takes its spans, max|T| for the growth and ||T||_1 for the condition
+estimate from that one walk.
 
 The Tau system is factored by an almost-banded QR in the style of Olver &
 Townsend, "A fast and well-conditioned spectral method" (SIAM Rev. 55,
@@ -20,7 +22,8 @@ with the block's explicit orthogonal factor, one for the explicit part of
 R, running sums of C x (or W^T x) for its fill, and the inverse of each
 triangular diagonal block of R, formed once per factorization.
 
-The same factors feed a Hager-style 1-norm condition estimate.
+The same factors, with the ||T||_1 they keep, feed a Hager-style 1-norm
+condition estimate.
 
 Only Section and SingularMatrixError are exported: the QR and the estimate
 serve tau's solve, which passes them a square Tau matrix and a
@@ -119,17 +122,24 @@ class Section:
             if c0 < c1:
                 yield r, r1, c0, self.block(r, r1, c0, c1)
 
-    def spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and last nonzero column of each row, read from the values:
-        cols and -1 for a zero row."""
+    def scan(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """One walk over the strips: the first and last nonzero column of
+        each row, read from the values (cols and -1 for a zero row), max|A|,
+        and the column sums of |A|, each summed in row order, so they do not
+        depend on which rows are held dense."""
         rows, cols = self.shape
         first, last = np.full(rows, cols), np.full(rows, -1)
+        amax, sums = 0.0, np.zeros(cols)
         for r, r1, c0, blk in self._strips(rows):
-            nonzero = blk != 0.0
+            strip = np.abs(blk)
+            nonzero = strip != 0.0
             some = nonzero.any(axis=1)
             first[r:r1] = np.where(some, c0 + nonzero.argmax(axis=1), cols)
             last[r:r1] = np.where(some, c0 + blk.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
-        return first, last
+            amax = max(amax, float(strip.max()))
+            strip[0] += sums[c0 : c0 + blk.shape[1]]
+            sums[c0 : c0 + blk.shape[1]] = np.add.reduce(strip, axis=0)
+        return first, last, amax, sums
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """A @ x in the precision of x, each row's stored entries summed in
@@ -147,16 +157,6 @@ class Section:
         for q, d in enumerate(self.diags[:, n:]):
             out[n:] += d * pad[n + self.low + q - start : rows + self.low + q - start]
         return out
-
-    def norm1(self) -> float:
-        """Largest column sum of |A|, each column summed in row order, so it
-        does not depend on which rows are held dense."""
-        sums = np.zeros(self.shape[1])
-        for _, _, c0, blk in self._strips(self.shape[0]):
-            strip = np.abs(blk)
-            strip[0] += sums[c0 : c0 + blk.shape[1]]
-            sums[c0 : c0 + blk.shape[1]] = np.add.reduce(strip, axis=0)
-        return float(np.max(sums, initial=0.0))
 
     def shifted(self, alpha, beta, gamma) -> Section:
         """M @ A, M the tridiagonal shift of the recurrence arrays, every
@@ -226,12 +226,14 @@ class _QRBlock(NamedTuple):
 @dataclass
 class QRFactors:
     """Q R = A for an almost-banded A: its first d rows C (dense) above rows
-    whose nonzeros stay near the diagonal.  growth is max|R| / max|A|."""
+    whose nonzeros stay near the diagonal.  growth is max|R| / max|A|, and
+    norm1 is ||A||_1."""
 
     size: int
     dense: np.ndarray
     blocks: list
     growth: float
+    norm1: float
 
 
 def qr_factor(a: Section) -> QRFactors:
@@ -250,7 +252,7 @@ def qr_factor(a: Section) -> QRFactors:
     spans _BLOCK plus both bandwidths.
     """
     n = a.shape[0]
-    first, last = a.spans()
+    first, last, maxa, sums = a.scan()
     # d minimizes the entries the factors hold per block of rows: an explicit
     # part at most _BLOCK + u_d columns wide (u_d the upper bandwidth of the
     # rows below d) and never past column n, plus d entries of W and of C.
@@ -262,7 +264,6 @@ def qr_factor(a: Section) -> QRFactors:
     # reach[j]: one past the last row i with first[i] <= j, the rows that
     # column j and every column before it can touch
     reach = np.searchsorted(np.minimum.accumulate(first[::-1])[::-1], np.arange(n), "right")
-    maxa = float(np.max(np.abs(dense), initial=0.0))
     maxr = 0.0
     # rows carried from block to block: explicit columns c0..end-1, and W
     work, coef = np.zeros((0, 0)), np.zeros((0, d))
@@ -274,7 +275,6 @@ def qr_factor(a: Section) -> QRFactors:
         new_top = max(top, c1, int(reach[c1 - 1]))
         new_end = max(end, c1, int(np.max(last[max(top, d) : new_top], initial=-1)) + 1)
         rows = a.block(top, new_top, c0, new_end)
-        maxa = max(maxa, float(np.max(np.abs(rows), initial=0.0)))
         work = np.vstack([np.hstack([work, coef @ dense[:, end:new_end]]), rows])
         coef = np.vstack([coef, np.arange(top, new_top)[:, None] == np.arange(d)])
         top, end = new_top, new_end
@@ -293,7 +293,7 @@ def qr_factor(a: Section) -> QRFactors:
         maxr = max(maxr, float(np.max(np.abs(blk.r))), float(np.max(np.abs(fill), initial=0.0)))
         out.append(blk)
         work, coef = rest[k:, :width], rest[k:, width:]
-    return QRFactors(size=n, dense=dense, blocks=out, growth=maxr / maxa if maxa > 0.0 else 1.0)
+    return QRFactors(n, dense, out, maxr / maxa if maxa > 0.0 else 1.0, float(np.max(sums, initial=0.0)))
 
 
 def qr_solve(factors: QRFactors, b) -> np.ndarray:
@@ -333,9 +333,9 @@ def qr_solve_transposed(factors: QRFactors, b) -> np.ndarray:
     return x
 
 
-def cond_estimate_factored(factors: QRFactors, norm1: float) -> float:
-    """Condition estimate from the QR factors of A and its 1-norm: norm1
-    times Hager's lower-bound iteration for ||A^{-1}||_1."""
+def cond_estimate_factored(factors: QRFactors) -> float:
+    """Condition estimate from the QR factors of A: its 1-norm times
+    Hager's lower-bound iteration for ||A^{-1}||_1."""
     n = factors.size
     x = np.full(n, 1.0 / n)
     est = 0.0
@@ -359,5 +359,5 @@ def cond_estimate_factored(factors: QRFactors, norm1: float) -> float:
         i = np.arange(n)
         y = qr_solve(factors, np.where(i % 2, -1.0, 1.0) * (1.0 + i / (n - 1.0)))
         est = max(est, 2.0 * float(np.sum(np.abs(y))) / (3.0 * n))
-    return est * norm1
+    return est * factors.norm1
 

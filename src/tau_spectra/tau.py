@@ -33,12 +33,13 @@ and a dense row under any dense rows.  Pi is the chain's band cut to n+1
 columns, so a banded Pi is never one array.
 
 Nor is the Tau matrix an array: it is the same band with the condition
-rows added as dense rows on top.  The almost-banded QR reads its row spans
-and rectangles, keeping dense rows such as the condition rows and a
-Volterra row 0 apart; the extended-precision refinement residual is its
-banded product, and the section's rows below the Tau matrix give the
-residual tail by the same product.  On a banded section a solve holds
-O(n * (64 + bandwidth)) entries in all, Pi included.
+rows added as dense rows on top.  The almost-banded QR takes its row
+spans, max|T| and ||T||_1 from one walk over it and reads its rectangles,
+keeping dense rows such as the condition rows and a Volterra row 0 apart;
+the extended-precision refinement residual is its banded product, and the
+section's rows below the Tau matrix give the residual tail by the same
+product.  On a banded section a solve holds O(n * (64 + bandwidth))
+entries in all, Pi included.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def solve_tau_system(problem: TauProblem, section: Section) -> TauSolution:
     tail = Section(section.diags[:, keep:], section.low + keep, section.lead[keep:]).dot(coeffs) - f_nu[keep:]
     if not np.all(np.isfinite(tail)):
         raise NonFiniteSolutionError("residual tail is not finite")
-    cond_estimate = cond_estimate_factored(factors, t.norm1())
+    cond_estimate = cond_estimate_factored(factors)
     if not math.isfinite(cond_estimate):
         raise NonFiniteSolutionError("condition estimate is not finite")
     diags = Diagnostics(cond_estimate=cond_estimate, growth=factors.growth, height=h)

@@ -1,9 +1,9 @@
 """The band format every matrix takes from the term matrices to the QR, and
-the Horner chain over it: any rectangle of a band, its row spans, its
-product with a vector, its 1-norm, its product with the shift and its sum
-with a multiple of another band equal the same operations on its full
-matrix, built entry by entry, and check refuses a band whose dense rows
-break the format."""
+the Horner chain over it: any rectangle of a band, its row spans, max|A|
+and column sums of |A| (the 1-norm's), its product with a vector, its
+product with the shift and its sum with a multiple of another band equal
+the same operations on its full matrix, built entry by entry, and check
+refuses a band whose dense rows break the format."""
 
 import contextlib
 
@@ -101,10 +101,11 @@ def test_spans_are_the_first_and_last_nonzero_columns(band, step, height):
     full = _full(band)
     rows, cols = full.shape
     with _strips_of(height):
-        first, last = band.spans()
+        first, last, amax, _ = band.scan()
     for i in range(rows):
         nonzero = np.flatnonzero(full[i])
         assert (first[i], last[i]) == ((nonzero[0], nonzero[-1]) if nonzero.size else (cols, -1))
+    assert amax == np.max(np.abs(full))
 
 
 # Long double sums are numpy's own loop, in column order: the banded
@@ -130,10 +131,12 @@ def test_dot_equals_the_full_product_bitwise_in_long_double(drawn, height):
 def test_norm1_sums_each_column_in_row_order_however_rows_are_held(band, height):
     band = Section(band.diags / 3, band.low, band.lead / 3)  # sums that round
     full = _full(band)
-    expected = float(np.max(np.add.reduce(np.abs(full), axis=0)))
+    expected = np.add.reduce(np.abs(full), axis=0)
     with _strips_of(height):
-        assert band.norm1() == expected
-        assert Section.from_dense(full).norm1() == expected
+        for section in (band, Section.from_dense(full)):
+            _, _, amax, sums = section.scan()
+            assert np.array_equal(sums, expected)
+            assert amax == np.max(np.abs(full))
 
 
 @settings(max_examples=300, deadline=None)

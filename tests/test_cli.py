@@ -120,7 +120,7 @@ def test_non_finite_solution_is_numerical_failure(tmp_path, capsys):
 
 
 def test_non_finite_condition_estimate_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(tau, "cond_estimate_factored", lambda factors, norm1: float("inf"))
+    monkeypatch.setattr(tau, "cond_estimate_factored", lambda factors: float("inf"))
     cfg_path = _write_config(tmp_path, BASE_CONFIG)
     out_path = tmp_path / "out.csv"
     assert main(["solve", cfg_path, "-o", str(out_path)]) == 3
@@ -684,6 +684,29 @@ def test_ladder_failure_leaves_only_the_degrees_below_it(tmp_path, monkeypatch, 
     assert [line.split(":")[0] for line in captured.out.splitlines()] == ["n=100"]
     assert os.listdir(fig) == ["bessel_m10_n100.csv"]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs two usable CPUs for the worker pool")
+def test_ladder_workers_keep_mains_floating_point_error_state(tmp_path, monkeypatch):
+    # Worker processes are forked inside main's np.errstate and after the
+    # patch, so they inherit both: the stub fails a cell unless it runs in a
+    # worker with every kind of floating-point error ignored, as in main.
+    parent = os.getpid()
+
+    def quiet_workers_only(problem):
+        def solution(x):
+            if os.getpid() == parent:
+                raise ValueError("solved in the parent process")
+            if set(np.geterr().values()) != {"ignore"}:
+                raise FloatingPointError(f"worker error state {np.geterr()}")
+            return np.zeros_like(x)
+
+        return solution
+
+    monkeypatch.setattr(cli, "solve_tau", quiet_workers_only)
+    out_path = str(tmp_path / "table2.csv")
+    assert main(["table2", "-o", out_path]) == 0
+    assert all(cell != "FAIL" for row in _read_csv(out_path)[1] for cell in row)
 
 
 def test_csv_uses_seventeen_significant_digits(tmp_path):
